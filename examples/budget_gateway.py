@@ -84,7 +84,7 @@ async def run() -> None:
     assert fresh.authorized
 
     refusals = server.ledger.account("alice").refusals
-    print(f"\nledger: alice charged {len(server.ledger.account('alice').charges)} "
+    print(f"\nledger: alice charged {server.ledger.account('alice').charged} "
           f"queries, refused {refusals}; refusals never touched her bound")
     server.shutdown()
 

@@ -129,7 +129,27 @@ class PowersetDomain(AbstractDomain):
         return PowersetDomain(self.spec, *_prune(include, exclude))
 
     def size(self) -> int:
-        return sum(piece.volume() for piece in self.pieces())
+        cached = self.__dict__.get("_size_cache")
+        if cached is None:
+            cached = sum(piece.volume() for piece in self.pieces())
+            object.__setattr__(self, "_size_cache", cached)
+        return cached
+
+    def __hash__(self) -> int:
+        # Fleets group thousands of sessions and ledger accounts by their
+        # knowledge domain; the field hash walks every box, so it is
+        # computed once per (immutable) instance.
+        cached = self.__dict__.get("_hash_cache")
+        if cached is None:
+            cached = hash((self.spec, self.include, self.exclude))
+            object.__setattr__(self, "_hash_cache", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # A cached string hash is only valid under this process's hash seed.
+        state = dict(self.__dict__)
+        state.pop("_hash_cache", None)
+        return state
 
     def size_disjoint_estimate(self) -> int:
         """The paper's Σ|include| − Σ|exclude| size formula.
@@ -162,6 +182,15 @@ class PowersetDomain(AbstractDomain):
     def normalized(self) -> "PowersetDomain":
         """An equivalent domain with no exclude boxes (disjoint includes)."""
         return PowersetDomain(self.spec, tuple(self.pieces()), ())
+
+    def pruned(self) -> "PowersetDomain":
+        """An equivalent domain without redundant boxes.
+
+        Include boxes contained in another include box, and exclude boxes
+        that touch no include box, are dropped — the same canonicalization
+        :meth:`intersect` applies to its results.
+        """
+        return PowersetDomain(self.spec, *_prune(self.include, self.exclude))
 
     def __repr__(self) -> str:
         return (
@@ -216,18 +245,14 @@ def stack_include(domains: Sequence[PowersetDomain]) -> tuple:
     """
     np = vectoreval.require_numpy()
     arity = domains[0].spec.arity if domains else 0
-    count = sum(len(domain.include) for domain in domains)
-    lo = np.empty((count, arity), dtype=np.int64)
-    hi = np.empty((count, arity), dtype=np.int64)
-    owner = np.empty(count, dtype=np.int64)
-    row = 0
-    for index, domain in enumerate(domains):
-        for box in domain.include:
-            lo[row] = [b[0] for b in box.bounds]
-            hi[row] = [b[1] for b in box.bounds]
-            owner[row] = index
-            row += 1
-    return lo, hi, owner
+    bounds = np.array(
+        [box.bounds for domain in domains for box in domain.include], dtype=np.int64
+    ).reshape(-1, arity, 2)
+    owner = np.repeat(
+        np.arange(len(domains), dtype=np.int64),
+        [len(domain.include) for domain in domains],
+    )
+    return bounds[:, :, 0], bounds[:, :, 1], owner
 
 
 def intersect_stacked(
@@ -248,32 +273,23 @@ def intersect_stacked(
         other = PowersetDomain.from_interval(other)
     if not isinstance(other, PowersetDomain):
         raise TypeError(f"cannot intersect PowersetDomain with {type(other)}")
-    lo, hi, _owner = stack_include(priors)
-    q = len(other.include)
-    results: list[PowersetDomain] = []
-    if q and len(lo):
+    lo, hi, owner = stack_include(priors)
+    includes: list[list[Box]] = [[] for _ in priors]
+    if other.include and len(lo):
         olo = np.array([[b[0] for b in box.bounds] for box in other.include])
         ohi = np.array([[b[1] for b in box.bounds] for box in other.include])
         clo = np.maximum(lo[:, None, :], olo[None, :, :])
         chi = np.minimum(hi[:, None, :], ohi[None, :, :])
-        valid = (clo <= chi).all(axis=2).tolist()
-        clo_l = clo.tolist()
-        chi_l = chi.tolist()
-    else:
-        valid = clo_l = chi_l = []
-    row = 0
-    for prior in priors:
-        include: list[Box] = []
-        for offset in range(len(prior.include)):
-            if not q:
-                break
-            row_valid = valid[row + offset]
-            row_lo = clo_l[row + offset]
-            row_hi = chi_l[row + offset]
-            for j in range(q):
-                if row_valid[j]:
-                    include.append(Box(tuple(zip(row_lo[j], row_hi[j]))))
-        row += len(prior.include)
+        # Only non-empty candidates cross into Python objects; ``nonzero``
+        # walks them row-major, i.e. in the scalar (prior-major,
+        # other-minor) order.
+        rows, cols = np.nonzero((clo <= chi).all(axis=2))
+        for index, box_lo, box_hi in zip(
+            owner[rows].tolist(), clo[rows, cols].tolist(), chi[rows, cols].tolist()
+        ):
+            includes[index].append(Box(tuple(zip(box_lo, box_hi))))
+    results: list[PowersetDomain] = []
+    for prior, include in zip(priors, includes):
         if not include:
             results.append(PowersetDomain.bottom(prior.spec))
         else:

@@ -169,14 +169,14 @@ class _HistogramChild(_Child):
         self.count = 0
         self._reported_state: tuple[list[int], float, int] | None = None
 
-    def observe(self, value: float) -> None:
-        """Record one observation; sum/count/bucket move atomically."""
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` ``times`` times; sum/count/bucket move atomically."""
         instrument = self._instrument
         index = bisect_left(instrument.bounds, value)
         with instrument._lock:
-            self.buckets[index] += 1
-            self.sum += value
-            self.count += 1
+            self.buckets[index] += times
+            self.sum += value * times
+            self.count += times
 
     def inc(self, amount: float = 1.0) -> None:  # pragma: no cover - guard
         raise TypeError("histograms record via observe(), not inc()")
@@ -291,9 +291,9 @@ class Histogram(Instrument):
             raise ValueError(f"{name}: bucket bounds must strictly increase")
         super().__init__(registry, name, help, labelnames, channel)
 
-    def observe(self, value: float) -> None:
-        """Record one observation on the unlabeled series."""
-        self._require_default().observe(value)
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` ``times`` times on the unlabeled series."""
+        self._require_default().observe(value, times)
 
 
 class MetricsRegistry:
@@ -600,7 +600,7 @@ class _NullSeries:
     def add(self, amount: float) -> None:
         """Drop the record."""
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, times: int = 1) -> None:
         """Drop the record."""
 
     @property

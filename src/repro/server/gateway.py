@@ -1414,13 +1414,7 @@ class DeclassificationServer:
                                 shard=shard,
                             )
             if self.ledger is not None:
-                for delta in response["deltas"]:
-                    self.ledger.apply_payload(
-                        delta["user_id"],
-                        delta["spec_name"],
-                        delta["payload"],
-                        monotone=True,
-                    )
+                self.ledger.apply_payloads(response["deltas"], monotone=True)
             self.stats.budget_refusals += response["budget_refusals"]
             self._retire_degraded_sessions(shard)
             return {

@@ -52,13 +52,23 @@ Two serving-scale concerns live here as well:
   over-approximation of any knowledge the attacker retains — the
   property test in ``tests/server/test_ledger.py`` checks exactly that
   ("decay is never tighter").
+
+Ledger work scales with the number of *distinct* bounds, not users.
+Bounds are immutable values: every user admitted against the same bound
+folds into the same posterior object.  Batch admission computes each
+distinct bound's posterior pair once and commit reuses it; decay, the
+durable payload encoding and the mirror's delta decode-and-fold are
+likewise computed once per distinct bound within a batch (see
+:class:`_BatchMemo`), so a fleet sharing a handful of bounds costs a
+handful of intersections per tick.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from repro.core.qinfo import QInfo, intersect_knowledge
 from repro.domains.base import AbstractDomain
@@ -94,6 +104,10 @@ __all__ = [
 
 #: Bumped whenever the persisted bound payload changes incompatibly.
 LEDGER_FORMAT_VERSION = 1
+
+#: Charge records kept per account (older ones are dropped; the
+#: account's ``charged`` counter keeps the total).
+CHARGE_HISTORY = 64
 
 
 class LedgerFormatError(RuntimeError):
@@ -152,8 +166,8 @@ class BudgetAccount:
     """One user's cumulative knowledge bounds, keyed by secret type.
 
     Bounds are the durable contract (persisted through the attached
-    :class:`LedgerBackend`); ``charges`` and ``refusals`` are per-process
-    observability and reset on restart.
+    :class:`LedgerBackend`); ``charges``, ``charged`` and ``refusals`` are
+    per-process observability and reset on restart.
     """
 
     user_id: str
@@ -161,7 +175,13 @@ class BudgetAccount:
     sound: dict[str, AbstractDomain] = field(default_factory=dict)
     #: Complete (over-approximated) bounds, tracked when available.
     complete: dict[str, AbstractDomain] = field(default_factory=dict)
-    charges: list[ChargeRecord] = field(default_factory=list)
+    #: The most recent :data:`CHARGE_HISTORY` charges, oldest first — a
+    #: long-lived user must not grow the process without bound.
+    charges: deque[ChargeRecord] = field(
+        default_factory=lambda: deque(maxlen=CHARGE_HISTORY)
+    )
+    #: Charges committed in this process, including dropped records.
+    charged: int = 0
     refusals: int = 0
 
 
@@ -204,7 +224,10 @@ class DecayPolicy:
                 for box in bound.exclude
                 if (shrunk := self._shrink(box)) is not None
             )
-            return PowersetDomain(bound.spec, include, exclude)
+            # Grown include boxes swallow each other; pruning keeps bounds
+            # that decayed to the same set equal, so batch admission can
+            # still group them (a fully decayed bound equals ⊤ again).
+            return PowersetDomain(bound.spec, include, exclude).pruned()
         raise TypeError(f"cannot dilate domain type {type(bound)}")
 
     def _grow(self, box: Box, space: Box) -> Box:
@@ -231,6 +254,40 @@ class DecayPolicy:
     def from_json(cls, data: dict[str, Any]) -> "DecayPolicy":
         """Decode a policy encoded by :meth:`to_json`."""
         return cls(radius=int(data["radius"]))
+
+
+class _BatchMemo:
+    """Results of pure functions of immutable operands, for one batch.
+
+    Keys are operand tuples compared by value (domains cache their hash),
+    so users whose bounds are equal — not just identical — share one
+    result.  The ledger clears every memo at the start of a batch, so a
+    memo holds one batch's working set; :attr:`CAPACITY` is only a safety
+    valve (the table is dropped wholesale when it fills).
+    """
+
+    CAPACITY = 8192
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[Any, ...], Any] = {}
+
+    def get(self, key: tuple[Any, ...], compute: Callable[[], Any]) -> Any:
+        """The memoized ``compute()`` for this key."""
+        try:
+            return self._entries[key]
+        except KeyError:
+            if len(self._entries) >= self.CAPACITY:
+                self._entries.clear()
+            value = self._entries[key] = compute()
+            return value
+
+    def put(self, key: tuple[Any, ...], value: Any) -> None:
+        """Seed the result for this key."""
+        self._entries.setdefault(key, value)
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._entries.clear()
 
 
 class PrivacyBudgetLedger:
@@ -270,9 +327,24 @@ class PrivacyBudgetLedger:
         #: mode (:meth:`buffer_writes`) so it can land each tick's bound
         #: puts in the *same* transaction as the journal acknowledgement.
         self._buffered: list[tuple[str, str, dict[str, Any]]] | None = None
+        #: ``(bound, ind. set)`` → their intersection.  Batch admission
+        #: seeds it with the posterior pairs it computed, which is how
+        #: :meth:`commit` reuses them.
+        self._folds = _BatchMemo()
+        #: ``(sound, complete, spec, epoch)`` → the shared export payload.
+        self._payloads = _BatchMemo()
+        #: ``id(payload)`` → ``(payload, spec, {"sound": ..., "complete": ...})``
+        #: for export payloads (dicts are unhashable; the entry pins the
+        #: payload, so its id cannot be reused while the entry lives).
+        self._decoded = _BatchMemo()
+        #: bound → its dilation by the current :meth:`advance_epoch`.
+        self._dilations = _BatchMemo()
+        #: ``(spec, powerset?)`` → the shared full-space bound.
+        self._tops: dict[tuple[SecretSpec, bool], AbstractDomain] = {}
         if store is not None:
             for user_id, spec_name, payload in list(store.ledger_bounds()):
                 self.apply_payload(user_id, spec_name, payload, persist=False)
+            self._new_batch()
 
     # -- accounts ------------------------------------------------------------
     def account(self, user_id: str) -> BudgetAccount:
@@ -301,21 +373,21 @@ class PrivacyBudgetLedger:
             return spec.space_size() if bound is None else bound.size()
 
     # -- admission -----------------------------------------------------------
-    def _count_refusal(self, kind: str = "budget") -> None:
+    def _count_refusal(self, kind: str = "budget", times: int = 1) -> None:
         if self.metrics:
             self.metrics.counter(
                 "anosy_ledger_refusals_total",
                 "Ledger admission refusals by kind.",
                 labels=("kind",),
-            ).labels(kind=kind).inc()
+            ).labels(kind=kind).inc(times)
 
-    def _observe_remaining(self, remaining: int) -> None:
+    def _observe_remaining(self, remaining: int, times: int = 1) -> None:
         if self.metrics:
             self.metrics.histogram(
                 "anosy_ledger_remaining_cells",
                 "Sound-bound size (cells) at admission time.",
                 channel="declassified",
-            ).observe(float(remaining))
+            ).observe(float(remaining), times)
 
     def preauthorize(
         self, user_id: str, qinfo: QInfo, *, mode: str = "under"
@@ -359,23 +431,24 @@ class PrivacyBudgetLedger:
         posterior intersection and one vectorized bound-size check.
         Duplicate ids collapse to one decision; serving rounds are
         already unique per user (:func:`repro.server.workers.rounds_by_user`).
+
+        Each distinct bound's posterior pair is kept for :meth:`commit`,
+        so committing the admitted users folds no bound a second time.
         """
         with self._lock:
+            self._new_batch()
             ids = list(dict.fromkeys(user_ids))
-            priors = [
-                self._sound_prior(self.account(uid), qinfo) for uid in ids
-            ]
             group: dict[AbstractDomain, int] = {}
-            keys: list[int] = []
-            distinct: list[AbstractDomain] = []
-            for prior in priors:
-                key = group.get(prior)
-                if key is None:
-                    key = len(distinct)
-                    group[prior] = key
-                    distinct.append(prior)
-                keys.append(key)
+            keys = [
+                group.setdefault(self._sound_prior(self.account(uid), qinfo), len(group))
+                for uid in ids
+            ]
+            distinct = list(group)
             pairs = qinfo.approx_batch(distinct, mode=mode)
+            true_ind, false_ind = qinfo.indset_pair(mode=mode)
+            for prior, (post_true, post_false) in zip(distinct, pairs):
+                self._folds.put((prior, true_ind), post_true)
+                self._folds.put((prior, false_ind), post_false)
             allowed = batch_pair_verdict(self.floor, pairs)
             remaining = [prior.size() for prior in distinct]
             granted = [
@@ -392,13 +465,17 @@ class PrivacyBudgetLedger:
                 for k in range(len(distinct))
             ]
             decisions: dict[str, LedgerDecision] = {}
+            users_per_key = [0] * len(distinct)
             for uid, key in zip(ids, keys):
                 decision = granted[key]
-                self._observe_remaining(decision.remaining)
+                users_per_key[key] += 1
                 if not decision.allowed:
-                    self.account(uid).refusals += 1
-                    self._count_refusal()
+                    self._accounts[uid].refusals += 1
                 decisions[uid] = decision
+            for key, users in enumerate(users_per_key):
+                self._observe_remaining(remaining[key], users)
+                if not allowed[key]:
+                    self._count_refusal(times=users)
             return decisions
 
     # -- charging ------------------------------------------------------------
@@ -412,14 +489,16 @@ class PrivacyBudgetLedger:
         commit that would cross it raises :class:`LedgerInvariantError`
         and changes nothing, so invariant 2 holds even against callers
         that skipped :meth:`preauthorize`.
+
+        The posterior is the intersection :meth:`preauthorize_batch`
+        already computed for this bound when it admitted the user, and
+        users sharing a bound share the resulting posterior object.
         """
         with self._lock:
             account = self.account(user_id)
             prior = self._sound_prior(account, qinfo)
             true_ind, false_ind = qinfo.indset_pair(mode=mode)
-            posterior = intersect_knowledge(
-                prior, true_ind if response else false_ind
-            )
+            posterior = self._fold(prior, true_ind if response else false_ind)
             if not self.floor(posterior):
                 raise LedgerInvariantError(
                     f"committing {qinfo.name!r} for {user_id!r} would cross "
@@ -430,9 +509,9 @@ class PrivacyBudgetLedger:
             if qinfo.over_indset is not None:
                 over_prior = account.complete.get(spec_name)
                 if over_prior is None:
-                    over_prior = top_knowledge_for(qinfo)
+                    over_prior = self._top(qinfo)
                 over_true, over_false = qinfo.indset_pair(mode="over")
-                account.complete[spec_name] = intersect_knowledge(
+                account.complete[spec_name] = self._fold(
                     over_prior, over_true if response else over_false
                 )
             account.charges.append(
@@ -444,6 +523,7 @@ class PrivacyBudgetLedger:
                     posterior_size=posterior.size(),
                 )
             )
+            account.charged += 1
             self._persist(user_id, qinfo.secret)
             return posterior
 
@@ -494,18 +574,26 @@ class PrivacyBudgetLedger:
         The same shape the backend stores and the shard tier ships as
         ledger deltas: format version, the spec itself (so decoding
         needs no external registry), both bounds, and the epoch.
+
+        Users holding the same bound objects get the same payload object;
+        treat it as read-only.
         """
         with self._lock:
             account = self.account(user_id)
             sound = account.sound.get(spec.name)
             complete = account.complete.get(spec.name)
-            return {
-                "version": LEDGER_FORMAT_VERSION,
-                "spec": spec_to_json(spec),
-                "sound": None if sound is None else domain_to_json(sound),
-                "complete": None if complete is None else domain_to_json(complete),
-                "epoch": self.epoch,
-            }
+            return self._payloads.get(
+                (sound, complete, spec, self.epoch),
+                lambda: {
+                    "version": LEDGER_FORMAT_VERSION,
+                    "spec": spec_to_json(spec),
+                    "sound": None if sound is None else domain_to_json(sound),
+                    "complete": (
+                        None if complete is None else domain_to_json(complete)
+                    ),
+                    "epoch": self.epoch,
+                },
+            )
 
     def apply_payload(
         self,
@@ -528,6 +616,11 @@ class PrivacyBudgetLedger:
         rehydrated shard echoing its snapshot — can tighten the mirror
         but can never loosen it.  (Loosening is the job of epoch decay,
         which acts on the mirror directly, never through payloads.)
+
+        A payload object is decoded once, and a fold of the same existing
+        bound with the same incoming one is computed once: users whose
+        deltas share one payload object (a deduplicated shard response)
+        cost one decode and one intersection per distinct bound.
         """
         version = payload.get("version")
         if version != LEDGER_FORMAT_VERSION:
@@ -535,23 +628,45 @@ class PrivacyBudgetLedger:
                 f"ledger payload for {user_id!r}/{spec_name!r} has format "
                 f"version {version!r}, this codec speaks {LEDGER_FORMAT_VERSION}"
             )
-        spec = spec_from_json(payload["spec"])
         with self._lock:
+            _pinned, spec, decoded = self._decoded.get(
+                (id(payload),), lambda: (payload, *_decode_payload(payload))
+            )
             account = self.account(user_id)
             for bounds, key in ((account.sound, "sound"), (account.complete, "complete")):
-                encoded = payload.get(key)
-                if encoded is None:
+                incoming = decoded[key]
+                if incoming is None:
                     if not monotone:
                         bounds.pop(spec_name, None)
                     continue
-                incoming = domain_from_json(encoded, spec)
                 existing = bounds.get(spec_name)
                 if monotone and existing is not None:
-                    incoming = intersect_knowledge(existing, incoming)
+                    incoming = self._fold(existing, incoming)
                 bounds[spec_name] = incoming
             self.epoch = max(self.epoch, int(payload.get("epoch", 0)))
             if persist:
                 self._persist(user_id, spec)
+
+    def apply_payloads(
+        self,
+        deltas: Iterable[dict[str, Any]],
+        *,
+        persist: bool = True,
+        monotone: bool = False,
+    ) -> None:
+        """:meth:`apply_payload` for a batch of ``{"user_id", "spec_name",
+        "payload"}`` deltas (the shape :meth:`ServingShardPool.decode
+        <repro.server.workers.ServingShardPool.decode>` returns)."""
+        with self._lock:
+            self._new_batch()
+            for delta in deltas:
+                self.apply_payload(
+                    delta["user_id"],
+                    delta["spec_name"],
+                    delta["payload"],
+                    persist=persist,
+                    monotone=monotone,
+                )
 
     # -- decay ---------------------------------------------------------------
     def advance_epoch(self, epochs: int = 1) -> int:
@@ -561,19 +676,28 @@ class PrivacyBudgetLedger:
         (soundness is preserved — see :class:`DecayPolicy`), so a user
         parked at the floor regains budget as their stale knowledge
         bound relaxes.  New bounds are written through to the store.
+        Each distinct bound object is dilated once; the users sharing it
+        share the result.
         """
         if self.decay is None:
             raise ValueError("advance_epoch requires a DecayPolicy")
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
+        decay = self.decay
+
+        def dilated(bound: AbstractDomain) -> AbstractDomain:
+            for _ in range(epochs):
+                bound = decay.dilate(bound)
+            return bound
+
         with self._lock:
+            self._new_batch()
             self.epoch += epochs
             for account in self._accounts.values():
                 specs: dict[str, SecretSpec] = {}
                 for bounds in (account.sound, account.complete):
                     for spec_name, bound in list(bounds.items()):
-                        for _ in range(epochs):
-                            bound = self.decay.dilate(bound)
+                        bound = self._dilations.get((bound,), lambda: dilated(bound))
                         bounds[spec_name] = bound
                         specs[spec_name] = bound.spec
                 for spec in specs.values():
@@ -612,6 +736,11 @@ class PrivacyBudgetLedger:
             return drained
 
     # -- internals -----------------------------------------------------------
+    def _new_batch(self) -> None:
+        """Start a batch: the identity memos forget the previous one."""
+        for memo in (self._folds, self._payloads, self._decoded, self._dilations):
+            memo.clear()
+
     def _persist(self, user_id: str, spec: SecretSpec) -> None:
         if self.store is None:
             return
@@ -624,4 +753,32 @@ class PrivacyBudgetLedger:
 
     def _sound_prior(self, account: BudgetAccount, qinfo: QInfo) -> AbstractDomain:
         bound = account.sound.get(qinfo.secret.name)
-        return top_knowledge_for(qinfo) if bound is None else bound
+        return self._top(qinfo) if bound is None else bound
+
+    def _top(self, qinfo: QInfo) -> AbstractDomain:
+        """The full-space bound, one shared object per spec and domain kind."""
+        indset = qinfo.under_indset or qinfo.over_indset
+        if indset is None:
+            return top_knowledge_for(qinfo)  # raises the typed CompileError
+        key = (qinfo.secret, isinstance(indset[0], PowersetDomain))
+        top = self._tops.get(key)
+        if top is None:
+            top = self._tops[key] = top_knowledge_for(qinfo)
+        return top
+
+    def _fold(self, bound: AbstractDomain, other: AbstractDomain) -> AbstractDomain:
+        """``intersect_knowledge(bound, other)``, once per pair of objects."""
+        return self._folds.get(
+            (bound, other), lambda: intersect_knowledge(bound, other)
+        )
+
+
+def _decode_payload(
+    payload: dict[str, Any],
+) -> tuple[SecretSpec, dict[str, AbstractDomain | None]]:
+    """The spec and both bounds of an :meth:`~PrivacyBudgetLedger.export_bound` payload."""
+    spec = spec_from_json(payload["spec"])
+    return spec, {
+        key: None if payload.get(key) is None else domain_from_json(payload[key], spec)
+        for key in ("sound", "complete")
+    }

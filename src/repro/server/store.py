@@ -340,15 +340,21 @@ class SQLiteStore:
         re-execution would see a different prior than the original run.
         """
 
+        # Users sharing a bound share its payload object: encode it once.
+        blobs: dict[int, str] = {}
+        rows = []
+        for user_id, spec_name, payload in bounds:
+            blob = blobs.get(id(payload))
+            if blob is None:
+                blob = blobs[id(payload)] = json.dumps(payload, sort_keys=True)
+            rows.append((user_id, spec_name, blob))
+
         def txn(conn):
             now = time.time()
             conn.executemany(
                 "INSERT OR REPLACE INTO ledger_bounds "
                 "(user_id, spec, payload, updated_at) VALUES (?, ?, ?, ?)",
-                [
-                    (user_id, spec_name, json.dumps(payload, sort_keys=True), now)
-                    for user_id, spec_name, payload in bounds
-                ],
+                [(user_id, spec_name, blob, now) for user_id, spec_name, blob in rows],
             )
             conn.executemany(
                 "UPDATE request_journal SET status = 'done', "

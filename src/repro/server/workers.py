@@ -506,8 +506,9 @@ def serve_payload(payload: str) -> str:
     Ops arrive in gateway order — ``configure`` / ``attach_query`` /
     ``open_session`` / ``close_session`` / ``advance_epoch`` /
     ``downgrade_batch`` — and the response carries the encoded results
-    of every ``downgrade_batch`` op, the ledger deltas to persist, the
-    budget-refusal count, and worker provenance (pid).
+    of every ``downgrade_batch`` op, the ledger deltas to persist (each
+    distinct bound payload once, see :meth:`ServingShardPool.decode`),
+    the budget-refusal count, and worker provenance (pid).
     """
     data = json.loads(payload)
     faults.install_from_payload(data.get("faults"))
@@ -559,14 +560,24 @@ def serve_payload(payload: str) -> str:
         del shard.spans[span_mark:]
     faults.maybe_crash("serve", "crash_after_commit")
     results: list[dict[str, Any]] = []
-    deltas: list[dict[str, Any]] = []
+    # Users folded to the same bounds share one export payload object;
+    # each distinct payload ships once and deltas point into the table.
+    bounds: list[dict[str, Any]] = []
+    bound_index: dict[int, int] = {}
+    deltas: list[tuple[str, str, int]] = []
     refusals = 0
     for batch_results, batch_deltas, batch_refusals in outputs:
         results.extend(downgrade_result_to_json(result) for result in batch_results)
-        deltas.extend(batch_deltas)
+        for delta in batch_deltas:
+            payload = delta["payload"]
+            index = bound_index.setdefault(id(payload), len(bounds))
+            if index == len(bounds):
+                bounds.append(payload)
+            deltas.append((delta["user_id"], delta["spec_name"], index))
         refusals += batch_refusals
     body: dict[str, Any] = {
         "results": results,
+        "bounds": bounds,
         "deltas": deltas,
         "budget_refusals": refusals,
         "pid": os.getpid(),
@@ -906,6 +917,11 @@ class ServingShardPool:
     def decode(result_json: str) -> dict[str, Any]:
         """Decode a shard response: results, ledger deltas, refusals, pid.
 
+        On the wire each distinct bound payload appears once in
+        ``bounds`` and a delta is ``[user_id, spec_name, index]``; decoded
+        deltas are ``{"user_id", "spec_name", "payload"}`` dicts whose
+        payloads are shared objects wherever the indices were equal.
+
         An unparseable or structurally wrong response raises
         :class:`~repro.server.supervise.CodecError` — the supervisor
         treats it as a transient shard failure, restarts the shard, and
@@ -913,17 +929,29 @@ class ServingShardPool:
         """
         try:
             data = json.loads(result_json)
+            bounds = data["bounds"]
             return {
                 "results": [
                     downgrade_result_from_json(encoded)
                     for encoded in data["results"]
                 ],
-                "deltas": data["deltas"],
+                # Deltas sharing a bound share one decoded payload object,
+                # which the mirror ledger decodes and folds once.
+                "deltas": [
+                    {
+                        "user_id": user_id,
+                        "spec_name": spec_name,
+                        "payload": bounds[index],
+                    }
+                    for user_id, spec_name, index in data["deltas"]
+                ],
                 "budget_refusals": data["budget_refusals"],
                 "pid": data["pid"],
                 "obs": data.get("obs"),
             }
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (
+            json.JSONDecodeError, IndexError, KeyError, TypeError, ValueError
+        ) as exc:
             raise CodecError(
                 f"undecodable serving response: {exc}", site="serve"
             ) from exc

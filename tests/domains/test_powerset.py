@@ -51,6 +51,25 @@ class TestConstruction:
             PowersetDomain(SPEC, (Box.make((0, 10), (0, 9)),), ())
 
 
+class TestCachedValues:
+    @settings(max_examples=60, deadline=None)
+    @given(powersets)
+    def test_equal_domains_hash_equal_and_sizes_stay_exact(self, domain):
+        twin = PowersetDomain(SPEC, tuple(domain.include), tuple(domain.exclude))
+        assert hash(twin) == hash(domain) and twin == domain
+        assert domain.size() == len(_points_of(domain))
+        assert domain.size() == twin.size()  # cached on first call
+
+    def test_pickling_drops_the_process_local_hash(self):
+        import pickle
+
+        domain = PowersetDomain(SPEC, (Box.make((0, 5), (0, 5)),), ())
+        hash(domain)
+        clone = pickle.loads(pickle.dumps(domain))
+        assert "_hash_cache" not in clone.__dict__
+        assert clone == domain and hash(clone) == hash(domain)
+
+
 class TestSemantics:
     def test_membership_include_exclude(self):
         domain = PowersetDomain(

@@ -64,6 +64,18 @@ def test_observation_on_boundary_is_inclusive():
     assert samples[("h_bucket", frozenset({("le", "+Inf")}))] == 4
 
 
+def test_repeated_observation_equals_one_at_a_time():
+    """``observe(v, times=n)`` records exactly what n single calls would."""
+    bulk, single = MetricsRegistry(), MetricsRegistry()
+    for value, times in ((3.0, 4), (250.0, 1), (7.0, 0)):
+        bulk.histogram("h", buckets=(1.0, 10.0, 100.0)).observe(value, times)
+        for _ in range(times):
+            single.histogram("h", buckets=(1.0, 10.0, 100.0)).observe(value)
+    assert bulk.snapshot() == single.snapshot()
+    assert bulk.exposition() == single.exposition()
+    NULL_REGISTRY.histogram("h").observe(1.0, 5)  # the null path accepts it
+
+
 def test_default_buckets_follow_channel():
     registry = MetricsRegistry()
     timing = registry.histogram("t", channel="timing")

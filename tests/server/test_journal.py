@@ -161,6 +161,19 @@ def test_ack_with_bounds_lands_both_atomically():
     assert [(u, s, p) for u, s, p in store.ledger_bounds()] == [
         ("u", "Loc", {"payload": 1})
     ]
+    # Users sharing one bound payload object each get their own row.
+    shared = {"payload": 2}
+    again = journal.begin("k2", "downgrade", {"session_id": "v"})
+    journal.ack_many(
+        [(again.seq, {"kind": "downgrade", "authorized": True})],
+        bounds=[("v", "Loc", shared), ("w", "Loc", shared), ("x", "Loc", {"payload": 3})],
+    )
+    assert sorted(store.ledger_bounds()) == [
+        ("u", "Loc", {"payload": 1}),
+        ("v", "Loc", {"payload": 2}),
+        ("w", "Loc", {"payload": 2}),
+        ("x", "Loc", {"payload": 3}),
+    ]
     # A backend without the atomic hook refuses rather than splitting
     # the transaction silently.
     mem = RequestJournal(MemoryJournalBackend())

@@ -379,3 +379,196 @@ def test_preauthorize_batch_collapses_duplicate_ids():
     assert list(decisions) == ["u"]
     assert not decisions["u"].allowed
     assert ledger.account("u").refusals == 1
+
+
+# ---------------------------------------------------------------------------
+# Work per distinct bound: admission posteriors reused at commit, decay and
+# delta folds computed once per distinct bound
+# ---------------------------------------------------------------------------
+
+
+def _diversified(ledger, users, user_secrets, workload):
+    """Give each user a history so a batch sees mixed, partly shared bounds."""
+    for uid, secret in zip(users, user_secrets):
+        protected = ProtectedSecret.seal(SPEC, secret)
+        for axis, threshold in workload[:2]:
+            ledger.evaluate(uid, threshold_qinfo(axis, threshold), protected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workload=queries,
+    user_secrets=st.lists(secrets, min_size=1, max_size=6),
+    floor=floors,
+)
+def test_batch_admit_then_commit_matches_scalar(workload, user_secrets, floor):
+    """Admitting a fleet in one batch and committing every admitted user
+    (reusing the admission's posteriors) lands exactly where per-user
+    preauthorize + commit lands: decisions, bounds, charges, refusals,
+    and the durable payloads."""
+    scalar = PrivacyBudgetLedger(size_above(floor))
+    batch = PrivacyBudgetLedger(size_above(floor))
+    users = [f"u{i}" for i in range(len(user_secrets))]
+    for ledger in (scalar, batch):
+        _diversified(ledger, users, user_secrets, workload)
+    for axis, threshold in workload:
+        qinfo = threshold_qinfo(axis, threshold)
+        expected = {uid: scalar.preauthorize(uid, qinfo) for uid in users}
+        assert batch.preauthorize_batch(users, qinfo) == expected
+        for uid, secret in zip(users, user_secrets):
+            if expected[uid].allowed:
+                response = qinfo.run(secret)
+                scalar.commit(uid, qinfo, response)
+                batch.commit(uid, qinfo, response)
+    for uid in users:
+        assert snapshot(batch, uid) == snapshot(scalar, uid)
+        assert batch.account(uid).refusals == scalar.account(uid).refusals
+        assert batch.export_bound(uid, SPEC) == scalar.export_bound(uid, SPEC)
+
+
+def test_commit_reuses_the_admitted_posteriors(monkeypatch):
+    """After batch admission, commits intersect nothing: every user gets
+    the posterior object admission computed for their bound."""
+    import repro.server.ledger as ledger_module
+
+    ledger = PrivacyBudgetLedger(size_above(10))
+    qinfo = threshold_qinfo("x", 7)
+    users = ["a", "b", "c", "d"]
+    decisions = ledger.preauthorize_batch(users, qinfo)
+    assert all(decision.allowed for decision in decisions.values())
+
+    def no_intersections(*args):
+        raise AssertionError("commit recomputed a posterior")
+
+    monkeypatch.setattr(ledger_module, "intersect_knowledge", no_intersections)
+    for uid, response in zip(users, (True, True, False, True)):
+        ledger.commit(uid, qinfo, response)
+    bounds = {uid: ledger.sound_bound(uid, SPEC) for uid in users}
+    assert bounds["a"] is bounds["b"] is bounds["d"]
+    assert bounds["a"].size() == bounds["c"].size() == 8 * 16
+    assert ledger.account("a").complete[SPEC.name] is ledger.account("b").complete[SPEC.name]
+
+
+def test_decay_dilates_each_distinct_bound_once():
+    class CountingDecay(DecayPolicy):
+        calls = 0
+
+        def dilate(self, bound):
+            CountingDecay.calls += 1
+            return super().dilate(bound)
+
+    ledger = PrivacyBudgetLedger(size_above(0), decay=CountingDecay(radius=1))
+    qinfo = threshold_qinfo("y", 3)
+    users = [f"u{i}" for i in range(10)]
+    ledger.preauthorize_batch(users, qinfo)
+    for i, uid in enumerate(users):
+        ledger.commit(uid, qinfo, i % 2 == 0)
+    ledger.advance_epoch(2)
+    # Two distinct bounds (one per answer) in each of the sound and
+    # complete tables, which here hold equal bounds: two distinct
+    # values, two epochs each.
+    assert CountingDecay.calls == 2 * 2
+    assert ledger.sound_bound("u0", SPEC) is ledger.sound_bound("u2", SPEC)
+
+
+def test_full_decay_restores_the_top_powerset_bound():
+    """Dilated include boxes that grow to the whole space collapse to one:
+    a fully decayed powerset bound equals ⊤, so batch admission groups it
+    with every fresh user again."""
+    top = PowersetDomain.top(SPEC)
+    bound = PowersetDomain(
+        SPEC,
+        (Box(((0, 3), (0, 15))), Box(((8, 15), (0, 15)))),
+        (Box(((1, 2), (1, 2))),),
+    )
+    assert DecayPolicy(radius=16).dilate(bound) == top
+    assert hash(DecayPolicy(radius=16).dilate(bound)) == hash(top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    include=st.lists(boxes, min_size=1, max_size=4),
+    exclude=st.lists(boxes, min_size=0, max_size=3),
+)
+def test_pruned_powerset_is_the_same_set(include, exclude):
+    bound = PowersetDomain(SPEC, tuple(include), tuple(exclude))
+    pruned = bound.pruned()
+    assert len(pruned.include) <= len(bound.include)
+    assert pruned.size() == bound.size()
+    assert all(pruned.contains(p) == bound.contains(p) for p in ALL_POINTS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    workload=queries,
+    user_secrets=st.lists(secrets, min_size=1, max_size=6),
+)
+def test_apply_payloads_matches_per_delta_folds(workload, user_secrets):
+    """A mirror folding deduplicated deltas (users sharing one payload
+    object) ends identical to one folding a fresh copy per user."""
+    import json
+
+    shard = PrivacyBudgetLedger(size_above(0))
+    users = [f"u{i}" for i in range(len(user_secrets))]
+    per_delta = PrivacyBudgetLedger(size_above(0))
+    shared = PrivacyBudgetLedger(size_above(0))
+    for axis, threshold in workload:
+        qinfo = threshold_qinfo(axis, threshold)
+        shard.preauthorize_batch(users, qinfo)
+        for uid, secret in zip(users, user_secrets):
+            shard.commit(uid, qinfo, qinfo.run(secret))
+        deltas = [
+            {"user_id": uid, "spec_name": SPEC.name, "payload": shard.export_bound(uid, SPEC)}
+            for uid in users
+        ]
+        for delta in deltas:
+            per_delta.apply_payload(
+                delta["user_id"],
+                delta["spec_name"],
+                json.loads(json.dumps(delta["payload"])),
+                monotone=True,
+            )
+        shared.apply_payloads(deltas, monotone=True)
+    for uid in users:
+        assert snapshot(shared, uid)[:2] == snapshot(per_delta, uid)[:2]
+        assert shared.export_bound(uid, SPEC) == per_delta.export_bound(uid, SPEC)
+
+
+def test_users_sharing_a_bound_share_its_payload():
+    ledger = PrivacyBudgetLedger(size_above(0))
+    qinfo = threshold_qinfo("x", 7)
+    ledger.preauthorize_batch(["a", "b"], qinfo)
+    ledger.commit("a", qinfo, True)
+    ledger.commit("b", qinfo, True)
+    assert ledger.export_bound("a", SPEC) is ledger.export_bound("b", SPEC)
+
+
+def test_charge_history_is_bounded():
+    from repro.server.ledger import CHARGE_HISTORY
+
+    ledger = PrivacyBudgetLedger(size_above(0))
+    qinfo = threshold_qinfo("x", 14)  # re-asked: narrows the bound once
+    for _ in range(CHARGE_HISTORY + 5):
+        ledger.commit("u", qinfo, True)
+    account = ledger.account("u")
+    assert len(account.charges) == CHARGE_HISTORY
+    assert account.charged == CHARGE_HISTORY + 5
+
+
+def test_batch_admission_telemetry_matches_scalar():
+    """Per-user admission metrics are recorded in bulk per distinct bound,
+    with the same totals as one record per user."""
+    from repro.obs.metrics import MetricsRegistry
+
+    scalar = PrivacyBudgetLedger(size_above(50))
+    batch = PrivacyBudgetLedger(size_above(50))
+    for ledger in (scalar, batch):
+        ledger.metrics = MetricsRegistry()
+        ledger.commit("spent", threshold_qinfo("x", 3), True)
+    users = ["fresh1", "spent", "fresh2"]
+    qinfo = threshold_qinfo("y", 7)
+    for uid in users:
+        scalar.preauthorize(uid, qinfo)
+    decisions = batch.preauthorize_batch(users, qinfo)
+    assert [decisions[uid].allowed for uid in users] == [True, False, True]
+    assert batch.metrics.exposition() == scalar.metrics.exposition()

@@ -294,6 +294,43 @@ def test_inline_serving_pool_round_trips_results_and_deltas():
     assert response["budget_refusals"] == 0
 
 
+def test_serving_response_ships_each_distinct_bound_once():
+    """Users whose commits landed on the same bound share one payload on
+    the wire; decoding hands every delta that payload as one object."""
+    from repro.monad.policy import size_above
+
+    ops = _serving_ops(policy_floor=size_above(100))
+    batch = ops.pop()
+    secrets = {"carol": [1, 9], "dave": [5, 0], "erin": [14, 14]}
+    for index, (user, value) in enumerate(secrets.items()):
+        opened = dict(ops[2], session_id=f"t{index}", user_id=user, value=value)
+        ops.append(opened)
+    ops.append(dict(batch, session_ids=["s1", "s2", "t0", "t1", "t2"]))
+    with ServingShardPool(1, inline=True) as pool:
+        raw = pool.submit(0, ops).result()
+    wire = json.loads(raw)
+    # Five users, two answers of ``x <= 7``: two distinct bounds.
+    assert len(wire["deltas"]) == 5
+    assert len(wire["bounds"]) == 2
+    response = ServingShardPool.decode(raw)
+    payloads = {d["user_id"]: d["payload"] for d in response["deltas"]}
+    assert payloads["alice"] is payloads["carol"] is payloads["dave"]
+    assert payloads["bob"] is payloads["erin"]
+    assert payloads["alice"] != payloads["bob"]
+
+
+def test_serving_decode_rejects_a_dangling_bound_index():
+    wire = {
+        "results": [],
+        "bounds": [],
+        "deltas": [["alice", "WkSmall", 0]],
+        "budget_refusals": 0,
+        "pid": 1,
+    }
+    with pytest.raises(CodecError, match="undecodable"):
+        ServingShardPool.decode(json.dumps(wire))
+
+
 def test_inline_pools_do_not_share_state():
     """Two inline pools in one process must not see each other's shards."""
     from repro.monad.policy import size_above
