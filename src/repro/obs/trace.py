@@ -157,11 +157,15 @@ class Tracer:
             self._store(span)
             return span
 
-    def absorb(self, spans: Iterable[Mapping[str, Any]]) -> None:
-        """Fold piggybacked shard spans (already carrying their ids)."""
+    def absorb(self, spans: Iterable[Span | Mapping[str, Any]]) -> None:
+        """Fold finished spans that already carry their ids.
+
+        Shard piggybacks arrive as JSON; the gateway's serving core hands
+        over :class:`Span` objects.
+        """
         with self._lock:
-            for data in spans:
-                self._store(Span.from_json(data))
+            for span in spans:
+                self._store(span if isinstance(span, Span) else Span.from_json(span))
 
     def _store(self, span: Span) -> None:
         bucket = self._spans.get(span.trace_id)

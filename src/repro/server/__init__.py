@@ -7,9 +7,13 @@ layer ROADMAP's "heavy traffic" north star asks for:
 * :mod:`repro.server.gateway` — the asyncio front door
   (:class:`~repro.server.gateway.DeclassificationServer`): coalesces
   identical in-flight compiles, batches each tick's downgrade requests
-  into single :meth:`handle_batch
-  <repro.service.api.DeclassificationService.handle_batch>` passes, and
-  sheds load past configured bounds;
+  into one job per query group (or per serving shard) resolved by a
+  single flush loop, and sheds load past configured bounds;
+* :mod:`repro.server.core` — the
+  :class:`~repro.server.core.ServingCore`, the one batched
+  ``downgrade`` (round-per-user split, ledger admission, session
+  downgrades, commits, decision spans) that every serving path runs:
+  gateway-local, degraded fallback, and each serving shard;
 * :mod:`repro.server.workers` — a
   :class:`~repro.server.workers.ShardedCompilePool` running synthesis in
   worker processes sharded by canonical query hash so each shard's memos
@@ -59,6 +63,7 @@ layer above records into it and ``ServerConfig(observe=False)`` turns
 the whole surface into no-ops.
 """
 
+from repro.server.core import ServingCore
 from repro.server.edge import HttpEdge
 from repro.server.faults import FaultPlan, FaultSpec
 from repro.server.gateway import (
@@ -129,6 +134,7 @@ __all__ = [
     "ServerDegraded",
     "ServerOverloaded",
     "ServerStats",
+    "ServingCore",
     "FaultPlan",
     "FaultSpec",
     "HttpEdge",

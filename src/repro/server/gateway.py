@@ -3,13 +3,13 @@
 This is the composition root of the serving runtime::
 
     clients ──► DeclassificationServer (asyncio)
-                  │ compile path          │ downgrade path (per-tick batches)
+                  │ compile path          │ downgrade path (per-tick jobs)
                   ▼                       ▼
-            ShardedCompilePool      ServingShardPool ── or ── SessionManager
+            ShardedCompilePool      ServingShardPool ── or ── gateway ServingCore
               (process shards)      (process shards,          (gateway-local,
-                  │                  routed by user id)        the default)
-                  │                       │  SessionManager          │
-                  │                       │  + shard ledger          │
+                  │                  routed by user id)        the default, and
+                  │                       │  ServingCore         the degraded
+                  │                       │  + shard ledger      fallback)
                   │                       ▼                          ▼
                   │                 PrivacyBudgetLedger ◄── admission/commit
                   │                  (durable gateway mirror)
@@ -24,11 +24,11 @@ Two amortization mechanisms live here, both pure event-loop state:
 * **in-flight coalescing** — concurrent compile requests for the same
   *canonical* problem (same cache key) collapse onto one shard job; every
   waiter registers its own name against the one artifact;
-* **tick batching** — downgrade requests are queued, and each tick serves
-  all requests for one query through a single
-  :meth:`~repro.service.api.DeclassificationService.handle_batch` pass,
-  so a thousand concurrent askers of one query cost one ind.-set fetch
-  and one memoized intersection per distinct prior.
+* **tick batching** — downgrade requests are queued, and each tick
+  serves all requests for one query through a single
+  :meth:`~repro.server.core.ServingCore.serve_batch` pass, so a thousand
+  concurrent askers of one query cost one ind.-set fetch and one
+  memoized intersection per distinct prior.
 
 The ledger interposes on every downgrade: admission is checked (on both
 potential posteriors — secret-independent) *before* the batch runs, and
@@ -37,15 +37,17 @@ reaches the session layer at all: the session's knowledge, the user's
 bounds, and the response are all untouched — only the refusal itself is
 observable.
 
-**Where downgrades execute** is configurable.  By default
-(``serving_shards=0``) batches run on gateway worker threads against the
-service's own :class:`~repro.service.session.SessionManager` — simple,
-and right for small deployments.  With ``serving_shards=N`` the warm
-path moves off the gateway entirely: sessions route by
+**Where downgrades execute** is configurable; either way every batch
+runs through a :class:`~repro.server.core.ServingCore`.  By default
+(``serving_shards=0``) it is the gateway's own core — the service's
+:class:`~repro.service.session.SessionManager` and the ledger — run on
+a gateway worker thread, one batch at a time: simple, and right for
+small deployments.  With ``serving_shards=N`` the warm path moves off
+the gateway entirely: sessions route by
 :func:`~repro.server.workers.serve_shard_of` over the durable user id to
-one of N single-process serving shards, each owning the sessions *and*
-the ledger accounts of its users, so batch evaluation runs under N
-independent GILs.  Shards are enforcement-authoritative; the gateway
+one of N single-process serving shards, each running a core over the
+sessions *and* the ledger accounts of its users, so batch evaluation
+runs under N independent GILs.  Shards are enforcement-authoritative; the gateway
 keeps a durable *mirror* ledger and folds the bound deltas each shard
 returns into it (write-through to the store), so durability needs no
 cross-process SQLite writers.
@@ -77,17 +79,18 @@ dead or hung shard is killed and replaced, the replacement is
 *rehydrated* from durable gateway state (configure, re-attach
 artifacts, re-open sessions with fresh mirror-bound snapshots — never
 looser, by construction), and the batch is retried; once a shard's
-breaker opens, its work degrades onto the gateway-local
-``serving_shards=0`` path (compiles: inline execution) until a
-half-open probe succeeds.  Past a degraded-capacity watermark the
-gateway sheds with :class:`ServerDegraded`, whose ``retry_after``
-carries the earliest breaker probe time.
+breaker opens, its work degrades onto the gateway's own core (compiles:
+inline execution) until a half-open probe succeeds.  Past a
+degraded-capacity watermark the gateway sheds with
+:class:`ServerDegraded`, whose ``retry_after`` carries the earliest
+breaker probe time.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -100,12 +103,12 @@ from repro.lang.canonical import (
 )
 from repro.lang.parser import parse_bool
 from repro.lang.secrets import SecretSpec, SecretValue
-from repro.monad.anosy import DowngradeInvariantError
 from repro.monad.policy import QuantitativePolicy
 from repro.monad.protected import ProtectedSecret
 from repro.obs.hub import MetricsHub
 from repro.obs.trace import span_id_for, trace_id_for
 from repro.server import faults
+from repro.server.core import ServingCore, result_kind
 from repro.server.faults import FaultPlan
 from repro.server.journal import RequestJournal, live_state
 from repro.server.ledger import DecayPolicy, PrivacyBudgetLedger
@@ -115,11 +118,8 @@ from repro.server.workers import (
     ShardedCompilePool,
     ShardOverloaded,
     compile_payload,
-    result_kind,
-    rounds_by_user,
 )
 from repro.service.api import (
-    BatchDowngradeRequest,
     CompileRequest,
     DeclassificationService,
     DowngradeResult,
@@ -319,6 +319,13 @@ class _PendingDowngrade:
     trace_id: str | None = None
 
 
+def _fail(waiters: list[_PendingDowngrade], exc: BaseException) -> None:
+    """Deliver *exc* to every waiter that has no outcome yet."""
+    for pending in waiters:
+        if not pending.future.done():
+            pending.future.set_exception(exc)
+
+
 def _compile_outcome(receipt: ServerCompileReceipt) -> dict[str, Any]:
     """The deterministic outcome encoding of a compile (digested).
 
@@ -438,6 +445,11 @@ class DeclassificationServer:
         self.stats = ServerStats(warm_entries=len(cache))
         #: Session id → durable user id for the ledger.
         self._users: dict[str, str] = {}
+        #: The gateway's serving core: gateway-local serving and the
+        #: degraded fallback, over the service's sessions and the mirror
+        #: ledger.  Runs one batch at a time (``_core_lock``).
+        self.core = ServingCore(self.service.manager, self.ledger, self._users)
+        self._core_lock = asyncio.Lock()
         #: Shard-mode session handles (the shard owns the live state).
         self._shard_sessions: dict[str, Session] = {}
         #: Pending ops per serving shard, shipped before its next batch.
@@ -760,24 +772,24 @@ class DeclassificationServer:
         user_id: str | None = None,
     ) -> Session:
         """The unjournaled open path (gateway-local or shard-routed)."""
-        if self.serving_pool is None:
-            session = self.service.open_session(session_id, secret)
-            self._users[session_id] = (
-                user_id if user_id is not None else session_id
-            )
-            return session
-        if session_id in self._shard_sessions:
-            raise ValueError(f"session {session_id!r} already open")
-        if not isinstance(secret, ProtectedSecret):
-            spec, value = secret
-            secret = ProtectedSecret.seal(spec, value)
         user = user_id if user_id is not None else session_id
-        self._ops_for(self.serving_pool.shard_for(user)).append(
-            self._open_session_op(session_id, user, secret)
-        )
-        session = Session(session_id=session_id, secret=secret)
-        self._shard_sessions[session_id] = session
+        if self.serving_pool is None:
+            session = self.manager.open_session(session_id, secret)
+        else:
+            if session_id in self._shard_sessions:
+                raise ValueError(f"session {session_id!r} already open")
+            if not isinstance(secret, ProtectedSecret):
+                spec, value = secret
+                secret = ProtectedSecret.seal(spec, value)
+            self._ops_for(self.serving_pool.shard_for(user)).append(
+                self._open_session_op(session_id, user, secret)
+            )
+            session = Session(session_id=session_id, secret=secret)
+            self._shard_sessions[session_id] = session
         self._users[session_id] = user
+        self.service.audit_event(
+            "session_open", session_id=session_id, secret=session.spec.name
+        )
         return session
 
     def _open_session_op(
@@ -838,22 +850,24 @@ class DeclassificationServer:
     def _close_session(self, session_id: str) -> Session:
         """The unjournaled close path."""
         if self.serving_pool is None:
-            self._users.pop(session_id, None)
-            return self.service.close_session(session_id)
-        try:
-            session = self._shard_sessions.pop(session_id)
-        except KeyError:
-            raise KeyError(f"no open session {session_id!r}") from None
-        user = self._users.pop(session_id, session_id)
-        self._ops_for(self.serving_pool.shard_for(user)).append(
-            {"op": "close_session", "session_id": session_id}
-        )
-        if session_id in self._degraded_sessions:
-            # The session was adopted by the gateway-local manager while
-            # its shard was down; close the local mirror too.
-            self._degraded_sessions.discard(session_id)
-            if session_id in self.manager.sessions:
-                self.service.close_session(session_id)
+            session = self.manager.close_session(session_id)
+        else:
+            try:
+                session = self._shard_sessions.pop(session_id)
+            except KeyError:
+                raise KeyError(f"no open session {session_id!r}") from None
+            user = self._users.get(session_id, session_id)
+            self._ops_for(self.serving_pool.shard_for(user)).append(
+                {"op": "close_session", "session_id": session_id}
+            )
+            if session_id in self._degraded_sessions:
+                # The session was adopted by the gateway core while its
+                # shard was down; close the local mirror too.
+                self._degraded_sessions.discard(session_id)
+                if session_id in self.manager.sessions:
+                    self.manager.close_session(session_id)
+        self._users.pop(session_id, None)
+        self.service.audit_event("session_close", session_id=session_id)
         return session
 
     # -- serving-shard op plumbing --------------------------------------------
@@ -930,7 +944,7 @@ class DeclassificationServer:
                 ops.append(self._open_session_op(session_id, user, session.secret))
 
     def _adopt_degraded_sessions(self, shard: int) -> None:
-        """Mirror a down shard's sessions into the gateway-local manager.
+        """Mirror a down shard's sessions into the gateway core's manager.
 
         Opened from the gateway's sealed session records; admission and
         commits then run against the durable mirror ledger — the same
@@ -944,7 +958,7 @@ class DeclassificationServer:
             if self.serving_pool.shard_for(user) != shard:
                 continue
             if session_id not in self.manager.sessions:
-                self.service.open_session(session_id, session.secret)
+                self.manager.open_session(session_id, session.secret)
             self._degraded_sessions.add(session_id)
 
     def _retire_degraded_sessions(self, shard: int) -> None:
@@ -958,7 +972,7 @@ class DeclassificationServer:
                 continue
             self._degraded_sessions.discard(session_id)
             if session_id in self.manager.sessions:
-                self.service.close_session(session_id)
+                self.manager.close_session(session_id)
 
     def advance_epoch(
         self, epochs: int = 1, *, idempotency_key: str | None = None
@@ -1103,23 +1117,25 @@ class DeclassificationServer:
         return pending
 
     def _journal_begin_downgrades(
-        self, groups: list[tuple[str, list[_PendingDowngrade]]]
+        self, queue: dict[str, list[_PendingDowngrade]]
     ) -> None:
         """Append the journal entries for a tick's downgrades (batched).
 
-        One durable transaction per call, *before* any of these waiters
-        executes — the write-ahead half of the journal contract.  A
-        waiter requeued by a cancelled flush keeps its ``journal_seq``
-        and is not re-appended; re-begins after a crashed flush resolve
-        to the existing pending rows (same seq).  The after-journal
-        crash point fires here, so an injected crash lands on exactly
-        the journaled-but-unexecuted state recovery must handle.
+        One durable transaction per tick, in queue order (so sequence
+        numbers do not depend on how the tick is partitioned into jobs),
+        *before* any of these waiters executes — the write-ahead half of
+        the journal contract.  A waiter requeued by a cancelled flush
+        keeps its ``journal_seq`` and is not re-appended; re-begins after
+        a crashed flush resolve to the existing pending rows (same seq).
+        The after-journal crash point fires here, so an injected crash
+        lands on exactly the journaled-but-unexecuted state recovery
+        must handle.
         """
         if self.journal is None:
             return
         items: list[tuple[str, str, dict[str, Any]]] = []
         pendings: list[tuple[_PendingDowngrade, str]] = []
-        for query_name, waiters in groups:
+        for query_name, waiters in queue.items():
             for pending in waiters:
                 if pending.journal_key is None or pending.journal_seq is not None:
                     continue
@@ -1183,17 +1199,11 @@ class DeclassificationServer:
         return self.ledger.drain_writes()
 
     async def flush(self) -> int:
-        """Serve everything queued, one batch per query name; returns count.
+        """Serve everything queued; returns how many waiters were served.
 
-        Failure isolation: a batch that raises fails only *its own*
-        waiters (the exception lands on their futures) — later query
-        groups are still served, and the background ticker survives.  On
-        cancellation (``stop()`` mid-flush) the not-yet-started groups
-        are requeued so the final flush serves them rather than dropping
-        them.  Journal discipline per group: append before the batch
-        runs, acknowledge after it (and its mirror fold) completes,
-        resolve waiters last — a group that fails anywhere in between
-        leaves its entries pending for recovery.
+        The tick is partitioned into jobs — one per query group on the
+        gateway core, or one per serving shard — journaled by one
+        write-ahead ``begin_many``, and resolved by :meth:`_resolve`.
         """
         async with self._flush_lock:
             self._flush_task = None
@@ -1202,68 +1212,32 @@ class DeclassificationServer:
             self._queued -= queued_now
             self.stats.ticks += 1 if queue else 0
             tick_start = time.perf_counter()
-            if self.serving_pool is not None:
-                served = await self._flush_sharded(queue)
-                self._observe_tick(tick_start, queued_now)
-                return served
-            served = 0
-            groups = list(queue.items())
-            for index, (query_name, waiters) in enumerate(groups):
-                try:
-                    self._journal_begin_downgrades([(query_name, waiters)])
-                    results = await asyncio.to_thread(
-                        self._serve_batch, query_name, waiters
-                    )
-                    self._journal_ack_downgrades(
-                        [
-                            (p, results[p.session_id])
-                            for p in waiters
-                            if p.session_id in results
-                        ]
-                    )
-                except asyncio.CancelledError:
-                    # This group's thread may have partially applied; its
-                    # waiters get the cancellation.  Untouched groups go
-                    # back on the queue for the final flush.
-                    for pending in waiters:
-                        if not pending.future.done():
-                            pending.future.cancel()
-                    for later_name, later_waiters in groups[index + 1:]:
-                        remaining = [
-                            p for p in later_waiters if not p.future.done()
-                        ]
-                        self._queue.setdefault(later_name, []).extend(remaining)
-                        self._queued += len(remaining)
-                    raise
-                except Exception as exc:
-                    for pending in waiters:
-                        if not pending.future.done():
-                            pending.future.set_exception(exc)
-                    continue
-                self._count_results(results.values())
-                for pending in waiters:
-                    if not pending.future.done():
-                        pending.future.set_result(results[pending.session_id])
-                served += len(waiters)
-            self.stats.downgrades_served += served
+            try:
+                self._journal_begin_downgrades(queue)
+            except Exception as exc:
+                # The write-ahead append itself failed (or an injected
+                # crash fired): nothing executed, so every waiter fails
+                # now and the journal holds whatever prefix the
+                # transaction left.
+                for waiters in queue.values():
+                    _fail(waiters, exc)
+                return 0
+            served = await self._resolve(self._jobs(queue))
             self._observe_tick(tick_start, queued_now)
             return served
 
-    async def _flush_sharded(
+    def _jobs(
         self, queue: dict[str, list[_PendingDowngrade]]
-    ) -> int:
-        """Serve one flush through the serving shards (holds the flush lock).
+    ) -> list[tuple[int | None, list[tuple[str, list[_PendingDowngrade]]]]]:
+        """Partition a tick into ``(shard, query groups)`` jobs.
 
-        Every query group is partitioned by the shard owning each
-        waiter's user; each touched shard receives ONE payload — its
-        pending session/epoch ops first, then an ``attach_query`` for
-        any artifact it has not seen, then its ``downgrade_batch`` ops —
-        and all shard jobs run concurrently.  Responses carry the
-        results plus the shard's ledger deltas, which are folded into
-        the gateway's durable mirror before any waiter resolves: by the
-        time a caller sees a result, the bound it charged is persistent.
+        Gateway-local serving makes one job per query group on the
+        gateway core (shard ``None``).  Shard serving makes one job per
+        serving shard, holding the slice of every query group whose
+        users that shard owns.
         """
-        assert self.serving_pool is not None
+        if self.serving_pool is None:
+            return [(None, [group]) for group in queue.items()]
         batches: dict[int, list[tuple[str, list[_PendingDowngrade]]]] = {}
         for query_name, waiters in queue.items():
             per_shard: dict[int, list[_PendingDowngrade]] = {}
@@ -1273,75 +1247,135 @@ class DeclassificationServer:
                 per_shard.setdefault(shard, []).append(pending)
             for shard, shard_waiters in per_shard.items():
                 batches.setdefault(shard, []).append((query_name, shard_waiters))
+        return list(batches.items())
 
-        try:
-            self._journal_begin_downgrades(
-                [pair for groups in batches.values() for pair in groups]
+    async def _resolve(
+        self,
+        jobs: list[tuple[int | None, list[tuple[str, list[_PendingDowngrade]]]]],
+    ) -> int:
+        """Run a tick's jobs and resolve their waiters, job by job.
+
+        Shard jobs all start at once and run concurrently; gateway-core
+        jobs start one after another, because each ledger commit must
+        follow its own round's admission.  Per job, in order: acknowledge
+        its journal entries (after its ledger fold), count it, record one
+        ``batch`` audit event for each query group whose last job this
+        is, and resolve its waiters.  A job that raises fails only its
+        own waiters; later jobs are still served.  On cancellation
+        (``stop()`` mid-flush) started jobs are cancelled with their
+        waiters, and waiters of jobs that never started are requeued for
+        the final flush.
+        """
+        tasks: list[asyncio.Future | None] = [
+            None if shard is None else asyncio.ensure_future(
+                self._serve_shard_groups(shard, groups)
             )
-        except Exception as exc:
-            # The write-ahead append itself failed (or an injected crash
-            # fired): nothing executed, so every waiter fails now and
-            # the journal holds whatever prefix the transaction left.
-            for groups in batches.values():
-                for _name, shard_waiters in groups:
-                    for pending in shard_waiters:
-                        if not pending.future.done():
-                            pending.future.set_exception(exc)
-            return 0
-
-        jobs: list[
-            tuple[list[tuple[str, list[_PendingDowngrade]]], asyncio.Task]
-        ] = [
-            (groups, asyncio.ensure_future(self._serve_shard_groups(shard, groups)))
-            for shard, groups in batches.items()
+            for shard, groups in jobs
         ]
+        jobs_left = Counter(name for _shard, groups in jobs for name, _w in groups)
+        tally: dict[str, list[int]] = {}
+
+        def audit_batch(query_name: str) -> None:
+            sessions, authorized = tally.pop(query_name)
+            self.service.audit_event(
+                "batch",
+                query_name=query_name,
+                sessions=sessions,
+                authorized=authorized,
+            )
 
         served = 0
-        for index, (groups, task) in enumerate(jobs):
+        for index, (shard, groups) in enumerate(jobs):
+            waiters = [pending for _name, group in groups for pending in group]
             try:
-                by_key = await task
-            except asyncio.CancelledError:
-                for later_groups, later_task in jobs[index:]:
-                    later_task.cancel()
-                    for _name, shard_waiters in later_groups:
-                        for pending in shard_waiters:
-                            if not pending.future.done():
-                                pending.future.cancel()
-                raise
-            except Exception as exc:
-                for _name, shard_waiters in groups:
-                    for pending in shard_waiters:
-                        if not pending.future.done():
-                            pending.future.set_exception(exc)
-                continue
-            try:
+                if tasks[index] is None:
+                    tasks[index] = asyncio.ensure_future(
+                        self._serve_on_gateway(groups)
+                    )
+                by_key = await tasks[index]
                 self._journal_ack_downgrades(
                     [
                         (pending, by_key[(query_name, pending.session_id)])
-                        for query_name, shard_waiters in groups
-                        for pending in shard_waiters
+                        for query_name, group in groups
+                        for pending in group
                         if (query_name, pending.session_id) in by_key
                     ]
                 )
+            except asyncio.CancelledError:
+                for (_shard, later), task in zip(jobs[index:], tasks[index:]):
+                    if task is not None:
+                        task.cancel()
+                    for query_name, group in later:
+                        remaining = [p for p in group if not p.future.done()]
+                        if task is not None:
+                            for pending in remaining:
+                                pending.future.cancel()
+                        elif remaining:
+                            self._queue.setdefault(query_name, []).extend(remaining)
+                            self._queued += len(remaining)
+                for query_name in list(tally):
+                    audit_batch(query_name)
+                raise
             except Exception as exc:
-                # Executed (deltas folded) but unacked: fail the waiters
-                # and leave the entries pending — recovery re-executes
-                # them, and the monotone ledger folds converge.
-                for _name, shard_waiters in groups:
-                    for pending in shard_waiters:
-                        if not pending.future.done():
-                            pending.future.set_exception(exc)
+                # Executed-but-unacked failures leave their entries
+                # pending: recovery re-executes them, and the monotone
+                # ledger folds converge.
+                _fail(waiters, exc)
+                by_key = None
+            else:
+                served += len(waiters)
+                self.stats.downgrades_served += len(waiters)
+                self._count_results(by_key.values())
+            for query_name, group in groups:
+                jobs_left[query_name] -= 1
+                if by_key is not None:
+                    ids = {pending.session_id for pending in group}
+                    counts = tally.setdefault(query_name, [0, 0])
+                    counts[0] += len(ids)
+                    counts[1] += sum(
+                        by_key[(query_name, sid)].authorized for sid in ids
+                    )
+                if not jobs_left[query_name] and query_name in tally:
+                    audit_batch(query_name)
+            if by_key is None:
                 continue
-            self._count_results(by_key.values())
-            for query_name, shard_waiters in groups:
-                for pending in shard_waiters:
+            for query_name, group in groups:
+                for pending in group:
                     if not pending.future.done():
                         pending.future.set_result(
                             by_key[(query_name, pending.session_id)]
                         )
-                served += len(shard_waiters)
-        self.stats.downgrades_served += served
         return served
+
+    async def _serve_on_gateway(
+        self, groups: list[tuple[str, list[_PendingDowngrade]]]
+    ) -> dict[tuple[str, str], DowngradeResult]:
+        """Serve query groups on the gateway core, one at a time.
+
+        Gateway-local jobs and the degraded fallback both land here.  The
+        core lock keeps gateway-core batches sequential (degraded
+        fallbacks of different shards would otherwise overlap), and
+        ``call_suppressed`` keeps the core's kill points quiet: serving
+        on the gateway is fault-free by definition (DESIGN.md §10).
+        """
+        by_key: dict[tuple[str, str], DowngradeResult] = {}
+        async with self._core_lock:
+            for query_name, waiters in groups:
+                try:
+                    results, _touched, refusals = await asyncio.to_thread(
+                        faults.call_suppressed,
+                        self.core.serve_batch,
+                        query_name,
+                        [pending.session_id for pending in waiters],
+                        self._traces_for(waiters),
+                    )
+                finally:
+                    if self.core.spans:
+                        self.hub.tracer.absorb(self.core.drain_spans())
+                self.stats.budget_refusals += refusals
+                for result in results:
+                    by_key[(query_name, result.session_id)] = result
+        return by_key
 
     async def _serve_shard_groups(
         self,
@@ -1428,7 +1462,12 @@ class DeclassificationServer:
             self._rehydrate_shard(shard)
 
         async def fallback() -> dict[tuple[str, str], DowngradeResult]:
-            return await self._serve_degraded(shard, groups)
+            # The down shard's sessions are adopted by the gateway core,
+            # whose admission and commits run against the durable mirror
+            # ledger: the floor holds exactly as it would on the shard.
+            self.stats.degraded_batches += 1
+            self._adopt_degraded_sessions(shard)
+            return await self._serve_on_gateway(groups)
 
         return await self.supervisor.supervise(
             "serving",
@@ -1438,125 +1477,6 @@ class DeclassificationServer:
             restart=restart,
             fallback=fallback,
         )
-
-    async def _serve_degraded(
-        self,
-        shard: int,
-        groups: list[tuple[str, list[_PendingDowngrade]]],
-    ) -> dict[tuple[str, str], DowngradeResult]:
-        """Serve one shard's groups on the gateway-local fallback path.
-
-        The ``serving_shards=0`` machinery, reused verbatim: the down
-        shard's sessions are adopted into the gateway-local manager and
-        admission/commit run against the durable mirror ledger — the
-        enforcement floor holds exactly as it would have on the shard.
-        """
-        self.stats.degraded_batches += 1
-        self._adopt_degraded_sessions(shard)
-        by_key: dict[tuple[str, str], DowngradeResult] = {}
-        for query_name, shard_waiters in groups:
-            results = await asyncio.to_thread(
-                self._serve_batch, query_name, shard_waiters
-            )
-            for session_id, result in results.items():
-                by_key[(query_name, session_id)] = result
-        return by_key
-
-    def _serve_batch(
-        self, query_name: str, waiters: list[_PendingDowngrade]
-    ) -> dict[str, DowngradeResult]:
-        """One tick's worth of one query (runs on a worker thread).
-
-        Ledger admission first (secret-independent), then one batched
-        pass through the service for the admitted sessions, then ledger
-        commits for the answered ones.
-
-        When one *user* has several sessions in the same tick, their
-        sessions are served in successive rounds — each round holds at
-        most one session per user, so every ledger commit immediately
-        follows the preauthorization it was admitted under (a user's
-        second session sees the bound its first session produced, and is
-        cleanly refused if that bound no longer affords the query).
-        """
-        ids = list(dict.fromkeys(p.session_id for p in waiters))
-        compiled = self.manager.registry.lookup(query_name)
-        results: dict[str, DowngradeResult] = {}
-        traces = self._traces_for(waiters)
-        for round_ids in self._rounds_by_user(ids):
-            self._serve_round(query_name, compiled, round_ids, results, traces)
-        return results
-
-    def _rounds_by_user(self, ids: list[str]) -> list[list[str]]:
-        """Partition session ids so no round repeats a ledger user."""
-        return rounds_by_user(ids, self._users)
-
-    def _serve_round(
-        self,
-        query_name: str,
-        compiled,
-        ids: list[str],
-        results: dict[str, DowngradeResult],
-        traces: dict[str, dict[str, str]] | None = None,
-    ) -> None:
-        admitted: list[str] = []
-        checked: list[str] = []
-        for sid in ids:
-            if (
-                self.ledger is None
-                or compiled is None
-                or sid not in self.manager.sessions
-            ):
-                admitted.append(sid)
-            else:
-                checked.append(sid)
-        if checked:
-            # One batched admission pass: the floor is checked once per
-            # distinct sound bound instead of once per session.
-            users = {sid: self._users.get(sid, sid) for sid in checked}
-            ledger_decisions = self.ledger.preauthorize_batch(
-                users.values(), compiled.qinfo, mode=self.config.mode
-            )
-            for sid in checked:
-                decision = ledger_decisions[users[sid]]
-                self._trace_span(
-                    traces, sid, "admission", allowed=decision.allowed
-                )
-                if decision.allowed:
-                    admitted.append(sid)
-                else:
-                    self.stats.budget_refusals += 1
-                    results[sid] = DowngradeResult(
-                        session_id=sid,
-                        query_name=query_name,
-                        authorized=False,
-                        response=None,
-                        reason=decision.reason,
-                        knowledge_size=decision.remaining,
-                    )
-        if admitted:
-            for result in self.service.handle_batch(
-                BatchDowngradeRequest(query_name, tuple(admitted))
-            ):
-                results[result.session_id] = result
-                self._trace_span(
-                    traces,
-                    result.session_id,
-                    "serve",
-                    authorized=result.authorized,
-                    kind=result_kind(result),
-                )
-                if result.authorized and self.ledger is not None and compiled:
-                    if result.response is None:
-                        raise DowngradeInvariantError(
-                            f"authorized downgrade of {query_name!r} for "
-                            f"{result.session_id!r} carries no response"
-                        )
-                    self.ledger.commit(
-                        self._users.get(result.session_id, result.session_id),
-                        compiled.qinfo,
-                        result.response,
-                        mode=self.config.mode,
-                    )
 
     # -- observability ---------------------------------------------------------
     def _count_compile(self, outcome: str) -> None:
@@ -1641,21 +1561,6 @@ class DeclassificationServer:
             if p.trace_id is not None
         }
         return traces or None
-
-    def _trace_span(
-        self,
-        traces: dict[str, dict[str, str]] | None,
-        sid: str,
-        name: str,
-        **attrs: Any,
-    ) -> None:
-        """Record one gateway-local decision span (mirrors the shard path)."""
-        info = None if traces is None else traces.get(sid)
-        if info is None:
-            return
-        self.hub.tracer.record(
-            info["trace_id"], name, parent_id=info["parent"], **attrs
-        )
 
     def refresh_gauges(self) -> None:
         """Refresh scrape-time gauges (queue depth, health, stat mirror).

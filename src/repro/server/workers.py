@@ -14,10 +14,11 @@ content hash so per-process state stays hot:
   :func:`serve_shard_of` over the durable *user id*, so every session of
   one user lands on the shard that owns that user's
   :class:`~repro.service.session.SessionManager` slice and
-  :class:`~repro.server.ledger.PrivacyBudgetLedger` account.  Warm-path
-  serving thereby executes inside shard processes (one Python runtime
-  per shard, no gateway GIL contention) while ledger deltas flow back to
-  the gateway for durable write-through.
+  :class:`~repro.server.ledger.PrivacyBudgetLedger` account.  Each shard
+  serves them through its own :class:`~repro.server.core.ServingCore`
+  inside the shard process (one Python runtime per shard, no gateway GIL
+  contention) while ledger deltas flow back to the gateway for durable
+  write-through.
 
 Jobs cross the process boundary as JSON (the
 :func:`~repro.service.serialize.options_to_json` /
@@ -56,7 +57,7 @@ import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.plugin import CompiledQuery, CompileOptions, QueryRegistry, compile_query
 from repro.lang.ast import BoolExpr
@@ -70,11 +71,10 @@ from repro.lang.canonical import (
 )
 from repro.lang.parser import parse_bool
 from repro.lang.secrets import SecretSpec
-from repro.monad.anosy import DowngradeInvariantError
 from repro.monad.protected import ProtectedSecret
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import Span, span_id_for
 from repro.server import faults
+from repro.server.core import ServingCore, result_kind, rounds_by_user
 from repro.server.ledger import DecayPolicy, PrivacyBudgetLedger
 from repro.server.supervise import CodecError, classify_failure
 from repro.service.api import DowngradeResult
@@ -130,59 +130,6 @@ def serve_shard_of(user_id: str, shards: int) -> int:
     """
     digest = hashlib.sha256(user_id.encode("utf-8")).hexdigest()
     return int(digest[:16], 16) % shards
-
-
-def result_kind(result: DowngradeResult) -> str:
-    """The machine-readable outcome class of one downgrade result.
-
-    Derived from the result alone (not the internal decision object), so
-    the shard path, the gateway-local path, and a replay twin all label
-    the same result identically — the property the trace-tree bit-identity
-    contract rests on.  Mirrors
-    :class:`~repro.monad.anosy.DowngradeDecision` ``kind`` values, plus
-    ``"budget"`` (ledger admission) and ``"unknown_session"`` (facade
-    refusal), which never reach the session layer.
-    """
-    if result.authorized:
-        return "ok"
-    reason = result.reason
-    if reason.startswith("Can't downgrade"):
-        return "unknown_query"
-    if reason.startswith("Policy Violation"):
-        return "policy"
-    if reason.startswith("no open session"):
-        return "unknown_session"
-    if reason.startswith("budget exhausted"):
-        return "budget"
-    if ", secret is " in reason:
-        return "spec_mismatch"
-    return "refused"
-
-
-def rounds_by_user(
-    ids: Iterable[str], users: dict[str, str]
-) -> list[list[str]]:
-    """Partition session ids into rounds that never repeat a ledger user.
-
-    When one user has several sessions in a batch, serving them in a
-    single pass would preauthorize all of them against the *same* bound
-    and then commit sequentially — the second commit could cross the
-    floor mid-batch.  Round-partitioning makes every commit immediately
-    follow the admission check it was granted under.
-    """
-    rounds: list[list[str]] = []
-    placed: list[set[str]] = []
-    for sid in ids:
-        user = users.get(sid, sid)
-        for round_ids, round_users in zip(rounds, placed):
-            if user not in round_users:
-                round_ids.append(sid)
-                round_users.add(user)
-                break
-        else:
-            rounds.append([sid])
-            placed.append({user})
-    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +200,19 @@ def ping_payload(payload: str) -> str:
 class _ServingShard:
     """One shard's slice of the serving state (lives in a shard process).
 
-    Owns a :class:`~repro.service.session.SessionManager` for the
-    sessions routed here and a local
+    A :class:`~repro.server.core.ServingCore` built from the gateway's
+    ``configure`` op — a :class:`~repro.service.session.SessionManager`
+    for the sessions routed here and a local
     :class:`~repro.server.ledger.PrivacyBudgetLedger` for the users this
-    shard owns.  The local ledger is *enforcement* state; durability is
-    the gateway's job — committed bounds travel back as deltas
+    shard owns — plus the lifecycle op handlers.  The local ledger is
+    *enforcement* state; durability is the gateway's job — committed
+    bounds travel back as deltas
     (:meth:`~repro.server.ledger.PrivacyBudgetLedger.export_bound`
     payloads) and the gateway writes them through its store-attached
     mirror.
     """
 
     def __init__(self, data: dict[str, Any]):
-        policy = policy_from_json(data["policy"])
         floor = data.get("floor")
         decay = data.get("decay")
         #: Process-local telemetry: a real registry when the gateway's
@@ -274,11 +222,9 @@ class _ServingShard:
         self.metrics: Any = (
             MetricsRegistry() if data.get("observe") else NULL_REGISTRY
         )
-        #: Spans finished since the last piggyback drain.
-        self.spans: list[Span] = []
         self.manager = SessionManager(
             registry=QueryRegistry(),
-            policy=policy,
+            policy=policy_from_json(data["policy"]),
             mode=data["mode"],
             check_both=data["check_both"],
             metrics=self.metrics,
@@ -293,8 +239,7 @@ class _ServingShard:
         )
         if self.ledger is not None:
             self.ledger.metrics = self.metrics
-        #: Session id → durable user id (the routing key).
-        self.users: dict[str, str] = {}
+        self.core = ServingCore(self.manager, self.ledger)
 
     # -- ops ----------------------------------------------------------------
     def attach_query(self, op: dict[str, Any]) -> None:
@@ -316,7 +261,7 @@ class _ServingShard:
         spec = spec_from_json(op["spec"])
         secret = ProtectedSecret.seal(spec, tuple(op["value"]))
         self.manager.open_session(session_id, secret)
-        self.users[session_id] = user_id
+        self.core.users[session_id] = user_id
         bounds = op.get("bounds")
         if bounds and self.ledger is not None and user_id not in self.ledger.users():
             for spec_name, payload in bounds.items():
@@ -325,7 +270,7 @@ class _ServingShard:
     def close_session(self, op: dict[str, Any]) -> None:
         """Close a session; the user's ledger account stays (budgets do)."""
         self.manager.close_session(op["session_id"])
-        self.users.pop(op["session_id"], None)
+        self.core.users.pop(op["session_id"], None)
 
     def advance_epoch(self, op: dict[str, Any]) -> None:
         """Apply epoch decay to this shard's local ledger."""
@@ -338,26 +283,14 @@ class _ServingShard:
         session_ids: list[str],
         traces: dict[str, Any] | None = None,
     ) -> tuple[list[DowngradeResult], list[dict[str, Any]], int]:
-        """One query for this shard's slice of a tick.
+        """One query for this shard's slice of a tick, through the core.
 
-        Ledger admission, batched session downgrades, and commits all
-        run shard-locally under the round-per-user discipline
-        (:func:`rounds_by_user`).  Returns results in request order, the
-        ledger-delta payloads for every (user, spec) committed, and the
-        number of budget refusals.  ``traces`` (session id →
-        ``{"trace_id", "parent"}``) names the trace each session's
-        decision spans belong to; spans buffer on :attr:`spans` for the
-        response piggyback.
+        Returns the core's results and refusal count, with the committed
+        bounds exported as ledger-delta payloads for the gateway mirror.
         """
-        ids = list(dict.fromkeys(session_ids))
-        compiled = self.manager.registry.lookup(query_name)
-        results: dict[str, DowngradeResult] = {}
-        touched: dict[tuple[str, str], SecretSpec] = {}
-        refusals = 0
-        for round_ids in rounds_by_user(ids, self.users):
-            refusals += self._serve_round(
-                query_name, compiled, round_ids, results, touched, traces
-            )
+        results, touched, refusals = self.core.serve_batch(
+            query_name, session_ids, traces
+        )
         deltas = [
             {
                 "user_id": user_id,
@@ -365,132 +298,8 @@ class _ServingShard:
                 "payload": self.ledger.export_bound(user_id, spec),
             }
             for (user_id, spec_name), spec in touched.items()
-            if self.ledger is not None
         ]
-        return [results[sid] for sid in ids], deltas, refusals
-
-    def _span(
-        self,
-        sid: str,
-        traces: dict[str, Any] | None,
-        name: str,
-        **attrs: Any,
-    ) -> None:
-        """Buffer one decision span for a traced session (else no-op).
-
-        Span attributes here carry only secret-independent facts: under
-        the pair-checked discipline (``check_both=True``) admission
-        ``allowed`` and serve ``authorized``/``kind`` are decided on both
-        potential posteriors, never on the response.
-        """
-        info = None if traces is None else traces.get(sid)
-        if info is None:
-            return
-        trace_id = info["trace_id"]
-        parent = info.get("parent")
-        self.spans.append(
-            Span(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, parent, name, 0),
-                parent_id=parent,
-                name=name,
-                attrs=attrs,
-            )
-        )
-
-    def _serve_round(
-        self,
-        query_name: str,
-        compiled: CompiledQuery | None,
-        ids: list[str],
-        results: dict[str, DowngradeResult],
-        touched: dict[tuple[str, str], SecretSpec],
-        traces: dict[str, Any] | None = None,
-    ) -> int:
-        refusals = 0
-        admitted: list[str] = []
-        present: list[str] = []
-        for sid in ids:
-            if sid not in self.manager.sessions:
-                results[sid] = DowngradeResult(
-                    session_id=sid,
-                    query_name=query_name,
-                    authorized=False,
-                    response=None,
-                    reason=f"no open session {sid!r}",
-                    knowledge_size=None,
-                )
-                self._span(
-                    sid, traces, "serve", authorized=False, kind="unknown_session"
-                )
-            else:
-                present.append(sid)
-        if self.ledger is None or compiled is None:
-            admitted = present
-        elif present:
-            # One batched admission pass: the floor is checked once per
-            # distinct sound bound instead of once per session.
-            users = {sid: self.users.get(sid, sid) for sid in present}
-            ledger_decisions = self.ledger.preauthorize_batch(
-                users.values(), compiled.qinfo, mode=self.manager.mode
-            )
-            for sid in present:
-                decision = ledger_decisions[users[sid]]
-                self._span(sid, traces, "admission", allowed=decision.allowed)
-                if decision.allowed:
-                    admitted.append(sid)
-                else:
-                    refusals += 1
-                    results[sid] = DowngradeResult(
-                        session_id=sid,
-                        query_name=query_name,
-                        authorized=False,
-                        response=None,
-                        reason=decision.reason,
-                        knowledge_size=decision.remaining,
-                    )
-        if not admitted:
-            return refusals
-        # Chaos kill point: the shard has admitted (preauthorized) but not
-        # yet committed — a crash here must not charge anyone.
-        faults.maybe_crash("serve.round", "crash_before_result")
-        for sid, decision in self.manager.downgrade_batch(
-            query_name, admitted
-        ).items():
-            session = self.manager.sessions.get(sid)
-            results[sid] = DowngradeResult(
-                session_id=sid,
-                query_name=query_name,
-                authorized=decision.authorized,
-                response=decision.response,
-                reason=decision.reason,
-                knowledge_size=session.knowledge_size() if session else None,
-            )
-            self._span(
-                sid,
-                traces,
-                "serve",
-                authorized=decision.authorized,
-                kind=result_kind(results[sid]),
-            )
-            if decision.authorized and self.ledger is not None and compiled:
-                if decision.response is None:
-                    raise DowngradeInvariantError(
-                        f"authorized downgrade of {query_name!r} for {sid!r} "
-                        "carries no response"
-                    )
-                user_id = self.users.get(sid, sid)
-                self.ledger.commit(
-                    user_id,
-                    compiled.qinfo,
-                    decision.response,
-                    mode=self.manager.mode,
-                )
-                touched[(user_id, compiled.qinfo.secret.name)] = compiled.qinfo.secret
-        # Chaos kill point: shard-local commits happened, but the deltas
-        # have not reached the gateway mirror — they die with the process.
-        faults.maybe_crash("serve.round", "crash_after_commit")
-        return refusals
+        return results, deltas, refusals
 
 
 #: Per-process serving state, keyed by ``"<pool>/<shard>"``.  In a real
@@ -554,10 +363,10 @@ def serve_payload(payload: str) -> str:
         # The re-run's spans carry the same deterministic ids as the
         # first delivery's; keeping them would double every child in the
         # absorbed trace tree, so they are discarded with the outputs.
-        span_mark = len(shard.spans)
+        span_mark = len(shard.core.spans)
         for op in downgrades:
             shard.serve_batch(op["query_name"], op["session_ids"])
-        del shard.spans[span_mark:]
+        del shard.core.spans[span_mark:]
     faults.maybe_crash("serve", "crash_after_commit")
     results: list[dict[str, Any]] = []
     # Users folded to the same bounds share one export payload object;
@@ -583,13 +392,12 @@ def serve_payload(payload: str) -> str:
         "pid": os.getpid(),
     }
     shard = _SERVING_STATE.get(shard_key)
-    if shard is not None and (shard.metrics or shard.spans):
+    if shard is not None and (shard.metrics or shard.core.spans):
         obs: dict[str, Any] = {}
         if shard.metrics:
             obs["metrics"] = shard.metrics.drain()
-        if shard.spans:
-            obs["spans"] = [span.to_json() for span in shard.spans]
-            shard.spans = []
+        if shard.core.spans:
+            obs["spans"] = [span.to_json() for span in shard.core.drain_spans()]
         body["obs"] = obs
     response = json.dumps(body)
     return faults.maybe_corrupt("serve", response)

@@ -28,6 +28,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.core.plugin import CompileOptions, QueryRegistry
 from repro.lang.ast import BoolExpr
 from repro.lang.secrets import SecretSpec, SecretValue
+from repro.monad.anosy import DowngradeDecision
 from repro.monad.policy import QuantitativePolicy
 from repro.monad.protected import ProtectedSecret
 from repro.service.cache import SynthesisCache
@@ -39,6 +40,7 @@ __all__ = [
     "DowngradeRequest",
     "BatchDowngradeRequest",
     "DowngradeResult",
+    "downgrade_result",
     "AuditEvent",
     "AuditTrail",
     "DeclassificationService",
@@ -106,6 +108,42 @@ class DowngradeResult:
     response: bool | None
     reason: str
     knowledge_size: int | None
+
+
+def downgrade_result(
+    session_id: str,
+    query_name: str,
+    decision: DowngradeDecision | None = None,
+    *,
+    session: Session | None = None,
+    reason: str | None = None,
+    knowledge_size: int | None = None,
+) -> DowngradeResult:
+    """Build one request's result; every serving path builds them here.
+
+    With a session-layer ``decision`` the result reports it and the
+    ``session``'s knowledge size after it.  Without one the request never
+    reached the session layer: a refusal with ``reason`` and the caller's
+    ``knowledge_size`` (a budget refusal reports the bound it was checked
+    against), or, with no reason, an unknown session.
+    """
+    if decision is not None:
+        return DowngradeResult(
+            session_id=session_id,
+            query_name=query_name,
+            authorized=decision.authorized,
+            response=decision.response,
+            reason=decision.reason,
+            knowledge_size=None if session is None else session.knowledge_size(),
+        )
+    return DowngradeResult(
+        session_id=session_id,
+        query_name=query_name,
+        authorized=False,
+        response=None,
+        reason=f"no open session {session_id!r}" if reason is None else reason,
+        knowledge_size=knowledge_size,
+    )
 
 
 @dataclass(frozen=True)
@@ -235,7 +273,8 @@ class DeclassificationService:
         self.manager.metrics = registry
 
     # -- audit -------------------------------------------------------------
-    def _audit(self, kind: str, **data: Any) -> None:
+    def audit_event(self, kind: str, **data: Any) -> None:
+        """Append one event to the audit trail (dense seqs, counted)."""
         # The sequence number must be dense even when worker threads audit
         # concurrently, so assignment and append happen under one lock.
         with self._audit_lock:
@@ -283,7 +322,7 @@ class DeclassificationService:
             synth_time=sum(r.synth_time for r in compiled.reports.values()),
             verify_time=sum(r.verify_time for r in compiled.reports.values()),
         )
-        self._audit(
+        self.audit_event(
             "compile",
             name=receipt.name,
             secret=request.secret.name,
@@ -300,13 +339,13 @@ class DeclassificationService:
     ) -> Session:
         """Register one principal with its protected secret."""
         session = self.manager.open_session(session_id, secret)
-        self._audit("session_open", session_id=session_id, secret=session.spec.name)
+        self.audit_event("session_open", session_id=session_id, secret=session.spec.name)
         return session
 
     def close_session(self, session_id: str) -> Session:
         """Drop a principal; the returned session keeps its audit trail."""
         session = self.manager.close_session(session_id)
-        self._audit(
+        self.audit_event(
             "session_close",
             session_id=session_id,
             downgrades=len(session.history),
@@ -323,14 +362,16 @@ class DeclassificationService:
         input — the one thing a remote client controls — into a
         structured, audited refusal.
         """
-        if request.session_id not in self.manager.sessions:
-            result = self._unknown_session(request.session_id, request.query_name)
-        else:
-            decision = self.manager.try_downgrade(
-                request.session_id, request.query_name
-            )
-            result = self._result(request.session_id, request.query_name, decision)
-        self._audit(
+        sid, query_name = request.session_id, request.query_name
+        decision = (
+            self.manager.try_downgrade(sid, query_name)
+            if sid in self.manager.sessions
+            else None
+        )
+        result = downgrade_result(
+            sid, query_name, decision, session=self.manager.sessions.get(sid)
+        )
+        self.audit_event(
             "downgrade",
             session_id=result.session_id,
             query_name=result.query_name,
@@ -356,12 +397,15 @@ class DeclassificationService:
         known = [sid for sid in ids if sid in self.manager.sessions]
         decisions = self.manager.downgrade_batch(request.query_name, known)
         results = [
-            self._result(sid, request.query_name, decisions[sid])
-            if sid in decisions
-            else self._unknown_session(sid, request.query_name)
+            downgrade_result(
+                sid,
+                request.query_name,
+                decisions.get(sid),
+                session=self.manager.sessions.get(sid),
+            )
             for sid in ids
         ]
-        self._audit(
+        self.audit_event(
             "batch",
             query_name=request.query_name,
             sessions=len(results),
@@ -390,26 +434,3 @@ class DeclassificationService:
     ) -> list[DowngradeResult]:
         """Async :meth:`handle_batch`."""
         return await asyncio.to_thread(self.handle_batch, request)
-
-    def _unknown_session(self, session_id: str, query_name: str) -> DowngradeResult:
-        return DowngradeResult(
-            session_id=session_id,
-            query_name=query_name,
-            authorized=False,
-            response=None,
-            reason=f"no open session {session_id!r}",
-            knowledge_size=None,
-        )
-
-    def _result(
-        self, session_id: str, query_name: str, decision: Any
-    ) -> DowngradeResult:
-        session = self.manager.sessions.get(session_id)
-        return DowngradeResult(
-            session_id=session_id,
-            query_name=query_name,
-            authorized=decision.authorized,
-            response=decision.response,
-            reason=decision.reason,
-            knowledge_size=session.knowledge_size() if session else None,
-        )

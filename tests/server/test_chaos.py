@@ -284,6 +284,59 @@ def test_recovery_within_bounded_requests_and_one_cooldown():
     asyncio.run(scenario())
 
 
+def test_degraded_path_stays_fault_free_under_a_live_round_fault():
+    """The gateway runs the same serving core as the shards — kill points
+    included — but with faults suppressed: with a ``serve.round`` crash
+    armed for every round, only shard attempts die, and every request is
+    still answered on the degraded path."""
+
+    async def scenario():
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site="serve.round", kind="crash_before_result", times=10**9
+                )
+            ],
+            seed=CHAOS_SEED,
+        )
+        config = ServerConfig(
+            inline_compiles=True,
+            serving_shards=1,
+            inline_serving=True,
+            max_retries=0,
+            breaker_threshold=1,
+            breaker_cooldown=0.15,
+        )
+        server = make_server(
+            budget_floor=size_above(4000), config=config, fault_plan=plan
+        )
+        await boot(server)
+        server.open_session("s1", (SPEC, SECRET), user_id="alice")
+
+        first = await server.downgrade("s1", "west")
+        assert first.authorized and first.response is True
+        assert server.supervisor.breaker("serving", 0).state() == "open"
+        second = await server.downgrade("s1", "south")
+        assert second.authorized
+        # One cooldown later the half-open probe dies on the shard again;
+        # the request still rides the degraded path.
+        await asyncio.sleep(0.2)
+        third = await server.downgrade("s1", "inner")
+        assert third.authorized
+        assert server.stats.degraded_batches == 3
+        assert server.ledger.remaining("alice", SPEC) == 5000
+        refused = await server.downgrade("s1", "west")
+        assert not refused.authorized
+        assert "budget exhausted" in refused.reason
+        # Every firing is a shard attempt's: the gateway core never fired.
+        fired = faults.active_fault_plan().fired()
+        assert set(fired) == {("serve.round", "crash_before_result")}
+        assert len(fired) == server.supervisor.stats.crashes
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
 def test_degraded_load_shedding_names_a_retry_time():
     async def scenario():
         config = ServerConfig(

@@ -1,6 +1,7 @@
 """DeclassificationServer: coalescing, batching, restart, budget, shedding."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -19,6 +20,9 @@ from repro.service.api import CompileRequest
 SPEC = SecretSpec.declare("GwLoc", x=(0, 199), y=(0, 199))
 OPTIONS = CompileOptions(domain="interval", modes=("under", "over"))
 INLINE = ServerConfig(inline_compiles=True)
+SHARDED = ServerConfig(
+    inline_compiles=True, serving_shards=3, inline_serving=True
+)
 
 QUERIES = {
     "east": "x >= 100",
@@ -62,9 +66,10 @@ def test_compile_cache_and_coalescing():
     asyncio.run(scenario())
 
 
-def test_downgrades_batch_per_tick_and_match_truth():
+@pytest.mark.parametrize("config", [INLINE, SHARDED], ids=["INLINE", "SHARDED"])
+def test_downgrades_batch_per_tick_and_match_truth(config):
     async def scenario():
-        server = make_server()
+        server = make_server(config=config)
         for name, text in QUERIES.items():
             await server.register_query(CompileRequest(name, text, SPEC))
         secrets = {f"u{i}": (i * 37 % 200, i * 53 % 200) for i in range(40)}
@@ -264,14 +269,14 @@ def test_flush_isolates_a_failing_batch_and_ticker_survives(monkeypatch):
             await server.register_query(CompileRequest(name, text, SPEC))
         server.open_session("u", (SPEC, (10, 10)))
 
-        real_handle_batch = server.service.handle_batch
+        real_serve_batch = server.core.serve_batch
 
-        def exploding(request):
-            if request.query_name == "bad":
+        def exploding(query_name, session_ids, traces=None):
+            if query_name == "bad":
                 raise RuntimeError("boom")
-            return real_handle_batch(request)
+            return real_serve_batch(query_name, session_ids, traces)
 
-        monkeypatch.setattr(server.service, "handle_batch", exploding)
+        monkeypatch.setattr(server.core, "serve_batch", exploding)
         await server.start()
         good = asyncio.ensure_future(server.downgrade("u", "good"))
         bad = asyncio.ensure_future(server.downgrade("u", "bad"))
@@ -282,6 +287,42 @@ def test_flush_isolates_a_failing_batch_and_ticker_survives(monkeypatch):
         later = await server.downgrade("u", "good")
         assert later.query_name == "good"
         await server.stop()
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_cancelled_flush_still_counts_the_groups_it_served(monkeypatch):
+    """Cancelling a flush mid-tick must not lose the count (or the audit
+    event) of the query groups it already resolved."""
+
+    async def scenario():
+        server = make_server()
+        for name, text in (("a", "x <= 99"), ("b", "y <= 99")):
+            await server.register_query(CompileRequest(name, text, SPEC))
+        server.open_session("u", (SPEC, (10, 10)))
+        release = threading.Event()
+        real_serve_batch = server.core.serve_batch
+
+        def stalled(query_name, session_ids, traces=None):
+            if query_name == "b":
+                release.wait(timeout=10)
+            return real_serve_batch(query_name, session_ids, traces)
+
+        monkeypatch.setattr(server.core, "serve_batch", stalled)
+        first = asyncio.ensure_future(server.downgrade("u", "a"))
+        second = asyncio.ensure_future(server.downgrade("u", "b"))
+        await asyncio.sleep(0)  # both enqueue; the auto-flush is created
+        flush = server._flush_task
+        assert (await first).authorized
+        flush.cancel()  # group b is running on its worker thread
+        release.set()
+        with pytest.raises(asyncio.CancelledError):
+            await flush
+        assert second.cancelled()
+        assert server.stats.downgrades_served == 1
+        batches = [e.data for e in server.service.audit if e.kind == "batch"]
+        assert batches == [{"query_name": "a", "sessions": 1, "authorized": 1}]
         server.shutdown()
 
     asyncio.run(scenario())
@@ -370,10 +411,6 @@ def test_kill_and_restart_preserves_the_budget_ledger(tmp_path):
 # ---------------------------------------------------------------------------
 # Shard-serving mode: the warm path runs on serving-shard processes
 # ---------------------------------------------------------------------------
-
-SHARDED = ServerConfig(
-    inline_compiles=True, serving_shards=3, inline_serving=True
-)
 
 
 def test_shard_serving_matches_gateway_local_serving():
