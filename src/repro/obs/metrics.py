@@ -48,6 +48,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LazySeries",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
@@ -580,6 +581,62 @@ class MetricsRegistry:
                         instrument.labels(**labelvals) if labels else instrument
                     )
                     target.inc(delta)
+
+
+class LazySeries:
+    """A pre-bound handle for one hot instrument, declared on first use.
+
+    Re-declaring an instrument through the registry takes the registry
+    lock and re-validates its shape; resolving labels sorts them.  A hot
+    call site instead keeps one ``LazySeries`` and calls it with the
+    registry and the label *values* (in declaration order): the first
+    call per registry declares the instrument, the first call per label
+    valuation resolves its child, and every later call is one dict
+    lookup.  Nothing is declared before the first recording, so the
+    exposition is byte-identical to declaring at the call site — no
+    zero-valued series appears early.  A different registry (a journal
+    adopting its gateway's hub registry) rebinds the handle.
+    """
+
+    __slots__ = ("_kind", "_name", "_help", "_labels", "_channel", "_state")
+
+    def __init__(
+        self,
+        kind: str,
+        name: str,
+        help: str = "",
+        labels: Sequence[str] = (),
+        channel: str = "decision",
+    ):
+        self._kind = kind
+        self._name = name
+        self._help = help
+        self._labels = tuple(labels)
+        self._channel = channel
+        # (registry, instrument, {label values: child}), swapped whole so
+        # concurrent recorders never pair one registry with another's
+        # children.
+        self._state: tuple[Any, Any, dict[tuple[str, ...], Any]] | None = None
+
+    def __call__(self, registry: Any, *values: str) -> Any:
+        """The series for ``values`` on ``registry`` (declared lazily)."""
+        state = self._state
+        if state is None or state[0] is not registry:
+            declare = getattr(registry, self._kind)
+            instrument = declare(
+                self._name, self._help, self._labels, self._channel
+            )
+            state = self._state = (registry, instrument, {})
+        children = state[2]
+        child = children.get(values)
+        if child is None:
+            instrument = state[1]
+            child = children[values] = (
+                instrument.labels(**dict(zip(self._labels, values)))
+                if self._labels
+                else instrument
+            )
+        return child
 
 
 class _NullSeries:

@@ -115,16 +115,25 @@ class Span:
 class Tracer:
     """Collects finished spans per trace; bounded, thread-safe.
 
-    ``capacity`` bounds the number of *traces* retained (oldest evicted
-    first) so a long-lived gateway cannot grow without bound; the replay
-    and secret-independence suites size it to cover their whole runs.
+    ``capacity`` bounds the number of *traces* retained so a long-lived
+    gateway cannot grow without bound; the replay and secret-independence
+    suites size it to cover their whole runs.  Retention is FIFO by
+    root: only a root span (``parent_id is None``) opens a trace, and
+    opening one past capacity evicts the oldest retained trace together
+    with its span-index counters, in O(1).  A non-root span of a trace
+    that is not retained (evicted, or never rooted here) is dropped, so
+    a burst of roots can never leave root-less fragments behind.
+    Retention is a function of root arrival order alone — never of a
+    verdict or any other span attribute.
     """
 
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._spans: dict[str, list[Span]] = {}
-        self._indices: dict[tuple[str, str | None, str], int] = {}
+        # Per-trace occurrence counters, keyed like ``_spans``:
+        # trace id -> {(parent id, name): next index}.
+        self._indices: dict[str, dict[tuple[str | None, str], int]] = {}
 
     def __bool__(self) -> bool:
         return True
@@ -140,11 +149,19 @@ class Tracer:
         elapsed: float = 0.0,
         **attrs: Any,
     ) -> Span:
-        """Finish one span now; returns it (its id names it as a parent)."""
+        """Finish one span now; returns it (its id names it as a parent).
+
+        A non-root span of a trace that is not retained is returned (with
+        occurrence index 0) but not kept.
+        """
         with self._lock:
-            index_key = (trace_id, parent_id, name)
-            index = self._indices.get(index_key, 0)
-            self._indices[index_key] = index + 1
+            counters = self._indices.get(trace_id)
+            if counters is None and parent_id is None:
+                counters = self._open(trace_id)
+            index = 0
+            if counters is not None:
+                index = counters.get((parent_id, name), 0)
+                counters[(parent_id, name)] = index + 1
             span = Span(
                 trace_id=trace_id,
                 span_id=span_id_for(trace_id, parent_id, name, index),
@@ -154,32 +171,39 @@ class Tracer:
                 transport=transport,
                 elapsed=elapsed,
             )
-            self._store(span)
+            if counters is not None:
+                self._spans[trace_id].append(span)
             return span
 
     def absorb(self, spans: Iterable[Span | Mapping[str, Any]]) -> None:
         """Fold finished spans that already carry their ids.
 
         Shard piggybacks arrive as JSON; the gateway's serving core hands
-        over :class:`Span` objects.
+        over :class:`Span` objects.  Retention follows :meth:`record`'s
+        rule: a root opens its trace, any other span joins a retained
+        trace or is dropped.
         """
         with self._lock:
             for span in spans:
-                self._store(span if isinstance(span, Span) else Span.from_json(span))
+                if not isinstance(span, Span):
+                    span = Span.from_json(span)
+                bucket = self._spans.get(span.trace_id)
+                if bucket is None:
+                    if span.parent_id is not None:
+                        continue
+                    self._open(span.trace_id)
+                    bucket = self._spans[span.trace_id]
+                bucket.append(span)
 
-    def _store(self, span: Span) -> None:
-        bucket = self._spans.get(span.trace_id)
-        if bucket is None:
-            if len(self._spans) >= self.capacity:
-                oldest = next(iter(self._spans))
-                del self._spans[oldest]
-                self._indices = {
-                    key: value
-                    for key, value in self._indices.items()
-                    if key[0] != oldest
-                }
-            bucket = self._spans[span.trace_id] = []
-        bucket.append(span)
+    def _open(self, trace_id: str) -> dict[tuple[str | None, str], int]:
+        """Start retaining a trace, evicting the oldest one past capacity."""
+        if len(self._spans) >= self.capacity:
+            oldest = next(iter(self._spans))
+            del self._spans[oldest]
+            del self._indices[oldest]
+        self._spans[trace_id] = []
+        counters = self._indices[trace_id] = {}
+        return counters
 
     # -- reading -----------------------------------------------------------
     def trace_ids(self) -> list[str]:

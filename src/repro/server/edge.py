@@ -65,6 +65,7 @@ from typing import Any, Callable, Coroutine
 
 from repro.lang.canonical import spec_from_json
 from repro.monad.protected import ProtectedSecret
+from repro.obs.metrics import LazySeries
 from repro.server.gateway import (
     DeclassificationServer,
     ServerDegraded,
@@ -76,6 +77,20 @@ from repro.service.api import CompileRequest
 from repro.service.serialize import downgrade_result_to_json, options_from_json
 
 __all__ = ["HttpEdge"]
+
+_REQUESTS_TOTAL = LazySeries(
+    "counter",
+    "anosy_edge_requests_total",
+    "HTTP requests served by the edge.",
+    labels=("method", "route", "status"),
+)
+_REQUEST_SECONDS = LazySeries(
+    "histogram",
+    "anosy_edge_request_seconds",
+    "Edge request latency (route-labeled).",
+    labels=("route",),
+    channel="timing",
+)
 
 
 def _require(body: dict[str, Any], name: str) -> Any:
@@ -280,17 +295,8 @@ class HttpEdge:
         hub = self.server.hub
         registry = hub.registry
         if registry:
-            registry.counter(
-                "anosy_edge_requests_total",
-                "HTTP requests served by the edge.",
-                labels=("method", "route", "status"),
-            ).labels(method=method, route=route, status=str(status)).inc()
-            registry.histogram(
-                "anosy_edge_request_seconds",
-                "Edge request latency (route-labeled).",
-                labels=("route",),
-                channel="timing",
-            ).labels(route=route).observe(elapsed)
+            _REQUESTS_TOTAL(registry, method, route, str(status)).inc()
+            _REQUEST_SECONDS(registry, route).observe(elapsed)
         if self._access_log is not None:
             key = handler.headers.get("Idempotency-Key")
             self._access_log(
@@ -341,7 +347,7 @@ class HttpEdge:
             for info in shards.values()
             if info["state"] == "open"
         )
-        pending = 0 if server.journal is None else len(server.journal.pending())
+        pending = 0 if server.journal is None else server.journal.pending_count()
         return {
             "status": "degraded" if fraction > 0.0 else "ok",
             "degraded_fraction": fraction,

@@ -106,6 +106,7 @@ from repro.lang.secrets import SecretSpec, SecretValue
 from repro.monad.policy import QuantitativePolicy
 from repro.monad.protected import ProtectedSecret
 from repro.obs.hub import MetricsHub
+from repro.obs.metrics import LazySeries
 from repro.obs.trace import span_id_for, trace_id_for
 from repro.server import faults
 from repro.server.core import ServingCore, result_kind
@@ -145,6 +146,14 @@ __all__ = [
     "JournalRecovery",
     "DeclassificationServer",
 ]
+
+
+_DOWNGRADES_TOTAL = LazySeries(
+    "counter",
+    "anosy_gateway_downgrades_total",
+    "Downgrade results resolved, by outcome kind.",
+    labels=("kind",),
+)
 
 
 class ServerOverloaded(RuntimeError):
@@ -1513,13 +1522,8 @@ class DeclassificationServer:
         registry = self.hub.registry
         if not registry:
             return
-        counter = registry.counter(
-            "anosy_gateway_downgrades_total",
-            "Downgrade results resolved, by outcome kind.",
-            labels=("kind",),
-        )
         for result in results:
-            counter.labels(kind=result_kind(result)).inc()
+            _DOWNGRADES_TOTAL(registry, result_kind(result)).inc()
 
     def _observe_tick(self, started: float, sessions: int) -> None:
         """Record one non-empty flush tick's latency and batch size."""
@@ -1602,7 +1606,18 @@ class DeclassificationServer:
             registry.gauge(
                 "anosy_journal_pending",
                 "Journal entries appended but not yet acknowledged.",
-            ).set(len(self.journal.pending()))
+            ).set(self.journal.pending_count())
+
+    def _journal_summary(self) -> dict[str, int] | None:
+        """Journal size, backlog and traffic counts (O(1): no row decode)."""
+        if self.journal is None:
+            return None
+        return {
+            "entries": len(self.journal),
+            "pending": self.journal.pending_count(),
+            "appends": self.stats.journal_appends,
+            "duplicates": self.stats.journal_duplicates,
+        }
 
     def metrics_text(self) -> str:
         """The Prometheus exposition of the hub's registry ('' when dark)."""
@@ -1637,16 +1652,7 @@ class DeclassificationServer:
                 ),
             },
             "breakers": self.supervisor.describe_breakers(),
-            "journal": (
-                None
-                if self.journal is None
-                else {
-                    "entries": len(self.journal),
-                    "pending": len(self.journal.pending()),
-                    "appends": self.stats.journal_appends,
-                    "duplicates": self.stats.journal_duplicates,
-                }
-            ),
+            "journal": self._journal_summary(),
             "traces": {"retained": len(self.hub.tracer.trace_ids())},
         }
 
@@ -1925,14 +1931,5 @@ class DeclassificationServer:
                 "spilled": self.service.audit.spilled,
                 "dropped": self.service.audit.dropped,
             },
-            "journal": (
-                None
-                if self.journal is None
-                else {
-                    "entries": len(self.journal),
-                    "pending": len(self.journal.pending()),
-                    "appends": self.stats.journal_appends,
-                    "duplicates": self.stats.journal_duplicates,
-                }
-            ),
+            "journal": self._journal_summary(),
         }

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, runtime_checkable
 
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import NULL_REGISTRY, LazySeries
 from repro.service.serialize import canonical_json, payload_digest
 
 __all__ = [
@@ -85,6 +85,30 @@ class JournalEntry:
     response: dict[str, Any] | None = None
 
 
+_APPEND_SECONDS = LazySeries(
+    "histogram",
+    "anosy_journal_append_seconds",
+    "Durable write-ahead append latency, per begin transaction.",
+    channel="timing",
+)
+_APPENDS_TOTAL = LazySeries(
+    "counter",
+    "anosy_journal_appends_total",
+    "Requests journaled before execution.",
+)
+_ACK_SECONDS = LazySeries(
+    "histogram",
+    "anosy_journal_ack_seconds",
+    "Durable acknowledgement latency, per ack transaction "
+    "(ledger-mirror bounds included when fused).",
+    channel="timing",
+)
+_ACKS_TOTAL = LazySeries(
+    "counter",
+    "anosy_journal_acks_total",
+    "Executed requests acknowledged in the journal.",
+)
+
 #: Raw backend row: (seq, key, kind, payload_json, status, digest, response_json).
 _Row = tuple[int, str, str, str, str, str | None, str | None]
 
@@ -126,6 +150,10 @@ class JournalBackend(Protocol):
         """Every row, in sequence order."""
         ...
 
+    def journal_counts(self) -> tuple[int, int]:
+        """``(rows, pending rows)`` without reading any row's payload."""
+        ...
+
     def journal_next_seq(self) -> int:
         """One past the highest sequence number ever issued."""
         ...
@@ -146,6 +174,8 @@ class MemoryJournalBackend:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._rows: dict[str, list[Any]] = {}
+        self._by_seq: dict[int, list[Any]] = {}
+        self._pending = 0
         self._next_seq = 1
 
     def journal_append(self, key: str, kind: str, payload_json: str) -> _Row:
@@ -163,7 +193,8 @@ class MemoryJournalBackend:
                 if row is None:
                     row = [self._next_seq, key, kind, payload_json, "pending", None, None]
                     self._next_seq += 1
-                    self._rows[key] = row
+                    self._rows[key] = self._by_seq[row[0]] = row
+                    self._pending += 1
                 out.append(tuple(row))
         return out
 
@@ -174,10 +205,11 @@ class MemoryJournalBackend:
     def journal_ack_many(self, items: list[tuple[int, str, str]]) -> None:
         """Batched ack."""
         with self._lock:
-            by_seq = {row[0]: row for row in self._rows.values()}
             for seq, digest, response_json in items:
-                row = by_seq.get(seq)
+                row = self._by_seq.get(seq)
                 if row is not None:
+                    if row[4] == "pending":
+                        self._pending -= 1
                     row[4], row[5], row[6] = "done", digest, response_json
 
     def journal_lookup(self, key: str) -> _Row | None:
@@ -193,6 +225,11 @@ class MemoryJournalBackend:
                 (tuple(row) for row in self._rows.values()), key=lambda r: r[0]
             )
 
+    def journal_counts(self) -> tuple[int, int]:
+        """``(rows, pending rows)``, from kept counters."""
+        with self._lock:
+            return len(self._rows), self._pending
+
     def journal_next_seq(self) -> int:
         """One past the highest sequence number ever issued."""
         with self._lock:
@@ -207,7 +244,7 @@ class MemoryJournalBackend:
                 if row[4] == "done" and row[0] <= upto_seq
             ]
             for key in doomed:
-                del self._rows[key]
+                del self._by_seq[self._rows.pop(key)[0]]
             return len(doomed)
 
 
@@ -285,15 +322,8 @@ class RequestJournal:
         )
         metrics = self.metrics
         if metrics:
-            metrics.histogram(
-                "anosy_journal_append_seconds",
-                "Durable write-ahead append latency, per begin transaction.",
-                channel="timing",
-            ).observe(time.perf_counter() - start)
-            metrics.counter(
-                "anosy_journal_appends_total",
-                "Requests journaled before execution.",
-            ).inc(len(rows))
+            _APPEND_SECONDS(metrics).observe(time.perf_counter() - start)
+            _APPENDS_TOTAL(metrics).inc(len(rows))
         return [_decode_row(row) for row in rows]
 
     def ack(
@@ -362,16 +392,8 @@ class RequestJournal:
             self.backend.journal_ack_many(rows)
         metrics = self.metrics
         if metrics:
-            metrics.histogram(
-                "anosy_journal_ack_seconds",
-                "Durable acknowledgement latency, per ack transaction "
-                "(ledger-mirror bounds included when fused).",
-                channel="timing",
-            ).observe(time.perf_counter() - start)
-            metrics.counter(
-                "anosy_journal_acks_total",
-                "Executed requests acknowledged in the journal.",
-            ).inc(len(rows))
+            _ACK_SECONDS(metrics).observe(time.perf_counter() - start)
+            _ACKS_TOTAL(metrics).inc(len(rows))
 
     # -- read path ---------------------------------------------------------
     def entry(self, key: str) -> JournalEntry | None:
@@ -391,12 +413,20 @@ class RequestJournal:
         return [_decode_row(row) for row in self.backend.journal_entries()]
 
     def pending(self) -> list[JournalEntry]:
-        """The unacknowledged suffix, in sequence order."""
+        """The unacknowledged suffix, in sequence order.
+
+        Decodes every row, so it is for recovery and replay; gauges and
+        health checks use :meth:`pending_count`.
+        """
         return [e for e in self.entries() if e.status == "pending"]
 
+    def pending_count(self) -> int:
+        """Number of unacknowledged entries, without decoding any."""
+        return self.backend.journal_counts()[1]
+
     def __len__(self) -> int:
-        """Number of journaled entries (pending and done)."""
-        return len(self.backend.journal_entries())
+        """Number of journaled entries (pending and done), without decoding any."""
+        return self.backend.journal_counts()[0]
 
     def audit_digest(self) -> str:
         """The chained digest over every acknowledged outcome, in order.

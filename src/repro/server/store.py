@@ -36,6 +36,8 @@ acknowledged with its outcome digest after the durable-mirror fold.
 Crash recovery and deterministic replay both read this table; like the
 ledger table it is independently format-versioned
 (``journal_format_version``) and adopted on first open by older stores.
+A partial index over its pending rows keeps the backlog count that
+every scrape reports independent of the journal's length.
 ``audit_spill`` holds audit events evicted from the bounded in-memory
 ring, so the full dense-sequence audit history survives even under
 serving loads the ring cannot hold.
@@ -131,6 +133,12 @@ class SQLiteStore:
                     "  created_at REAL NOT NULL,"
                     "  acked_at REAL"
                     ")"
+                )
+                # Pending rows only: the backlog count every scrape reads
+                # stays O(backlog) instead of scanning the whole journal.
+                self._conn.execute(
+                    "CREATE INDEX IF NOT EXISTS request_journal_pending "
+                    "ON request_journal(seq) WHERE status = 'pending'"
                 )
                 self._conn.execute(
                     "CREATE TABLE IF NOT EXISTS audit_spill ("
@@ -380,6 +388,19 @@ class SQLiteStore:
                 f"SELECT {self._JOURNAL_COLUMNS} FROM request_journal "
                 "ORDER BY seq"
             ).fetchall()
+
+    def journal_counts(self) -> tuple[int, int]:
+        """``(rows, pending rows)`` without decoding any row.
+
+        The total is SQLite's b-tree count; the pending count reads only
+        the partial ``request_journal_pending`` index.
+        """
+        with self._lock:
+            total, pending = self._conn.execute(
+                "SELECT (SELECT COUNT(*) FROM request_journal), "
+                "(SELECT COUNT(*) FROM request_journal WHERE status = 'pending')"
+            ).fetchone()
+        return int(total), int(pending)
 
     def journal_next_seq(self) -> int:
         """One past the highest journal sequence number ever issued.

@@ -2,6 +2,9 @@
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -99,6 +102,119 @@ def test_capacity_evicts_oldest_trace():
     assert tracer.trace_ids() == ids[1:]
     assert tracer.tree(ids[0]) is None
     assert set(tracer.trees()) == set(ids[1:])
+
+
+def _orphans(tracer: Tracer) -> list[str]:
+    """Retained traces without a root span."""
+    return [
+        tid
+        for tid in tracer.trace_ids()
+        if not any(span.parent_id is None for span in tracer.spans(tid))
+    ]
+
+
+def test_children_of_evicted_traces_open_no_buckets():
+    # The fleet shape: a tick's roots are all recorded before any child
+    # arrives, and there are more roots than the tracer retains.
+    tracer = Tracer(capacity=1024)
+    ids = [trace_id_for("k", seq) for seq in range(1500)]
+    roots = [tracer.record(tid, "downgrade") for tid in ids]
+    for tid, root in zip(ids, roots):
+        tracer.absorb(
+            [
+                Span(
+                    trace_id=tid,
+                    span_id=span_id_for(tid, root.span_id, "serve", 0),
+                    parent_id=root.span_id,
+                    name="serve",
+                    attrs={"authorized": True},
+                ).to_json()
+            ]
+        )
+        child = tracer.record(
+            tid, "shard_roundtrip", parent_id=root.span_id, transport=True
+        )
+        # A dropped child still carries its deterministic id.
+        assert child.span_id == span_id_for(
+            tid, root.span_id, "shard_roundtrip", 0
+        )
+    assert tracer.trace_ids() == ids[-1024:]
+    assert _orphans(tracer) == []
+    assert len(tracer._indices) == 1024
+    for tid in ids[-1024:]:
+        assert [span.name for span in tracer.spans(tid)] == [
+            "downgrade",
+            "serve",
+            "shard_roundtrip",
+        ]
+    assert tracer.tree(ids[0]) is None
+
+
+@st.composite
+def _span_streams(draw):
+    """More traces than capacity, each a root followed by descendants,
+    interleaved at random across traces (per-trace order kept)."""
+    capacity = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=capacity + 1, max_value=capacity + 6))
+    events = st.tuples(
+        st.sampled_from(["record", "absorb"]),
+        st.sampled_from(["serve", "admission", "retry"]),
+        st.integers(min_value=0, max_value=7),
+        st.booleans(),
+    )
+    traces = [
+        [(draw(st.sampled_from(["record", "absorb"])), "downgrade", 0, False)]
+        + draw(st.lists(events, max_size=5))
+        for _ in range(count)
+    ]
+    cursors = [0] * count
+    stream = []
+    while live := [t for t in range(count) if cursors[t] < len(traces[t])]:
+        t = draw(st.sampled_from(live))
+        stream.append((t, traces[t][cursors[t]]))
+        cursors[t] += 1
+    return capacity, count, stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(_span_streams())
+def test_bounded_tracer_matches_unbounded_reference(case):
+    capacity, count, stream = case
+    bounded, reference = Tracer(capacity=capacity), Tracer(capacity=10**9)
+    ids = [trace_id_for("k", seq) for seq in range(count)]
+    # Span ids each tracer handed out per trace (parents for later events).
+    made = {tracer: [[] for _ in ids] for tracer in (bounded, reference)}
+    rooted: list[str] = []
+    for step, (t, (how, name, pick, transport)) in enumerate(stream):
+        tid = ids[t]
+        if not made[reference][t]:
+            rooted.append(tid)
+        for tracer in (bounded, reference):
+            spans = made[tracer][t]
+            parent = spans[pick % len(spans)] if spans else None
+            if how == "record":
+                span = tracer.record(
+                    tid, name, parent_id=parent, transport=transport
+                )
+            else:
+                # A piggybacked span carries its id; ``step`` keeps it unique.
+                span = Span(
+                    trace_id=tid,
+                    span_id=span_id_for(tid, parent, name, step),
+                    parent_id=parent,
+                    name=name,
+                    transport=transport,
+                )
+                tracer.absorb([span.to_json() if pick % 2 else span])
+            spans.append(span.span_id)
+        # FIFO by root: the newest ``capacity`` roots, in arrival order.
+        assert bounded.trace_ids() == rooted[-capacity:]
+        assert len(bounded._indices) <= capacity
+        assert _orphans(bounded) == []
+    assert len(reference.trace_ids()) == count
+    for tid in bounded.trace_ids():
+        assert bounded.canonical(tid) == reference.canonical(tid)
+        assert bounded.spans(tid) == reference.spans(tid)
 
 
 def test_digest_covers_trace_id_set_and_tree_bytes():
