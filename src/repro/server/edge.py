@@ -21,6 +21,7 @@ condition                                 response
 :class:`ServerOverloaded` / shard shed    ``503``
 :class:`ShardFailure` (typed kinds)       ``502`` + ``exc.to_payload()`` body
 ``ValueError`` (malformed input)          ``400``
+invalid query (lex/parse/validation)      ``400``, never journaled
 ``KeyError`` (unknown name/session)       ``404``
 anything else                             ``500``
 ========================================  =====================================
@@ -64,6 +65,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Coroutine
 
 from repro.lang.canonical import spec_from_json
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError
+from repro.lang.validate import QueryValidationError
 from repro.monad.protected import ProtectedSecret
 from repro.obs.metrics import LazySeries
 from repro.server.gateway import (
@@ -125,7 +129,7 @@ def _to_edge_error(exc: Exception) -> _EdgeError:
         return _EdgeError(503, {"error": "overloaded", "detail": str(exc)})
     if isinstance(exc, ShardFailure):
         return _EdgeError(502, {"error": "shard_failure", **exc.to_payload()})
-    if isinstance(exc, ValueError):
+    if isinstance(exc, (ValueError, LexError, ParseError, QueryValidationError)):
         return _EdgeError(400, {"error": "bad_request", "detail": str(exc)})
     if isinstance(exc, KeyError):
         return _EdgeError(404, {"error": "not_found", "detail": str(exc)})
@@ -336,11 +340,7 @@ class HttpEdge:
     def _healthz_body(self) -> dict[str, Any]:
         """Liveness plus the three signals that mean 'alive but hurting'."""
         server = self.server
-        fraction = (
-            server.supervisor.open_fraction("serving", server.config.serving_shards)
-            if server.serving_pool is not None
-            else 0.0
-        )
+        fraction = server.degraded_fraction()
         breakers_open = sum(
             1
             for shards in server.supervisor.describe_breakers().values()

@@ -63,13 +63,20 @@ kill-and-restart tests in ``tests/server/test_gateway.py`` assert
 exactly that).
 
 With a :class:`~repro.server.journal.RequestJournal` attached the
-restart story extends to *requests in flight*: every state-changing
+restart story extends to *requests in flight*.  Every state-changing
 request is appended (with an idempotency key) before executing and
-acknowledged after the durable-mirror fold, duplicate deliveries
-short-circuit to recorded responses, :meth:`recover_from_journal`
-re-applies a dead process's unacknowledged suffix, and the whole
-acknowledged history replays deterministically
-(:class:`~repro.server.replay.ReplaySession`, DESIGN.md §12).
+acknowledged after the durable-mirror fold, along one of two paths:
+downgrades batch per tick (one ``begin_many``/``ack_many`` per flush),
+and every lifecycle request — compile, open, close, epoch — runs through
+``DeclassificationServer._lifecycle``, to which its kind supplies only a
+payload, an executor, an outcome encoding and a recorded-response
+decoding.  Both paths have the same two kill points (after the append,
+before the ack; DESIGN.md §12 tabulates what each leaves behind).
+Duplicate deliveries short-circuit to recorded responses, and recovery
+(:meth:`recover_from_journal`) and replay
+(:class:`~repro.server.replay.ReplaySession`) share one generation
+rebuild and one entry executor (:meth:`rebuild_generation`,
+:meth:`apply_entry`), so the acknowledged history replays bit for bit.
 
 The same durability split powers *mid-flight* recovery (see
 :mod:`repro.server.supervise` and DESIGN.md §10): every shard job runs
@@ -91,8 +98,8 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.plugin import CompileOptions
 from repro.lang.canonical import (
@@ -101,8 +108,10 @@ from repro.lang.canonical import (
     spec_from_json,
     spec_to_json,
 )
-from repro.lang.parser import parse_bool
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError, parse_bool
 from repro.lang.secrets import SecretSpec, SecretValue
+from repro.lang.validate import QueryValidationError, validate_query
 from repro.monad.policy import QuantitativePolicy
 from repro.monad.protected import ProtectedSecret
 from repro.obs.hub import MetricsHub
@@ -111,7 +120,7 @@ from repro.obs.trace import span_id_for, trace_id_for
 from repro.server import faults
 from repro.server.core import ServingCore, result_kind
 from repro.server.faults import FaultPlan
-from repro.server.journal import RequestJournal, live_state
+from repro.server.journal import JournalEntry, RequestJournal, live_state
 from repro.server.ledger import DecayPolicy, PrivacyBudgetLedger
 from repro.server.supervise import RetryPolicy, ShardSupervisor
 from repro.server.workers import (
@@ -133,6 +142,7 @@ from repro.service.serialize import (
     options_from_json,
     options_to_json,
     payload_digest,
+    policy_from_json,
     policy_to_json,
 )
 from repro.service.session import Session
@@ -244,15 +254,7 @@ class ServerCompileReceipt:
 
     def to_json(self) -> dict[str, Any]:
         """Encode for the journal's recorded-response slot (exact)."""
-        return {
-            "name": self.name,
-            "cache_hit": self.cache_hit,
-            "coalesced": self.coalesced,
-            "shard": self.shard,
-            "verified": self.verified,
-            "synth_time": self.synth_time,
-            "verify_time": self.verify_time,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ServerCompileReceipt":
@@ -335,19 +337,34 @@ def _fail(waiters: list[_PendingDowngrade], exc: BaseException) -> None:
             pending.future.set_exception(exc)
 
 
-def _compile_outcome(receipt: ServerCompileReceipt) -> dict[str, Any]:
-    """The deterministic outcome encoding of a compile (digested).
-
-    Excludes ``cache_hit``/``coalesced``/``shard`` and the timings: which
-    mechanism paid for an artifact (and how long it took) varies between
-    a cold run and its replay; *what was registered* must not.
-    """
-    return {"kind": "compile", "name": receipt.name, "verified": receipt.verified}
+#: What a request raises when it is invalid on its own terms: query text
+#: that does not lex or parse, a query outside the secret's fragment, an
+#: unknown or duplicate session, a malformed payload.  A journaled entry
+#: that raises one of these is skipped by recovery and replay — it stays
+#: pending, visible to the operator — instead of wedging every boot.
+REJECTED_REQUEST_ERRORS = (ValueError, KeyError, LexError, ParseError, QueryValidationError)
 
 
 def _configure_outcome(payload: dict[str, Any]) -> dict[str, Any]:
     """The deterministic outcome encoding of a configure entry."""
     return {"kind": "configure", "digest": payload_digest(payload)}
+
+
+# -- journaled lifecycle requests: each kind's codecs, written once ---------
+# (payload encode/decode, outcome, recorded response; ``_lifecycle`` and
+# ``apply_entry`` on the server own everything else).
+
+
+def _compile_payload(request: CompileRequest) -> dict[str, Any]:
+    """The journaled payload of a compile (the query already parsed)."""
+    return {
+        "name": request.name,
+        "query": expr_to_json(request.query),
+        "secret": spec_to_json(request.secret),
+        "options": (
+            None if request.options is None else options_to_json(request.options)
+        ),
+    }
 
 
 def _compile_request(payload: dict[str, Any]) -> CompileRequest:
@@ -362,6 +379,96 @@ def _compile_request(payload: dict[str, Any]) -> CompileRequest:
             else options_from_json(payload["options"])
         ),
     )
+
+
+def _compile_outcome(
+    _payload: dict[str, Any], receipt: ServerCompileReceipt
+) -> dict[str, Any]:
+    """The deterministic outcome encoding of a compile (digested).
+
+    Excludes ``cache_hit``/``coalesced``/``shard`` and the timings: which
+    mechanism paid for an artifact (and how long it took) varies between
+    a cold run and its replay; *what was registered* must not.
+    """
+    return {"kind": "compile", "name": receipt.name, "verified": receipt.verified}
+
+
+async def _recorded_receipt(
+    _server: "DeclassificationServer",
+    _payload: dict[str, Any],
+    response: dict[str, Any],
+) -> ServerCompileReceipt:
+    """A duplicate compile's answer (async, like the executor it stands for)."""
+    return ServerCompileReceipt.from_json(response)
+
+
+def _open_session_payload(
+    session_id: str, user: str, secret: ProtectedSecret
+) -> dict[str, Any]:
+    """The journaled payload of a session open."""
+    return {
+        "session_id": session_id,
+        "user_id": user,
+        "spec": spec_to_json(secret.spec),
+        # The raw value stays inside the TCB: the journal lives in the
+        # store the gateway already trusts, and a serving shard gets
+        # this same encoding in its open op.
+        "value": list(secret.unprotect_tcb()),
+    }
+
+
+def _sealed(payload: dict[str, Any]) -> ProtectedSecret:
+    """Re-seal the secret a journaled open-session payload carries."""
+    return ProtectedSecret.seal(
+        spec_from_json(payload["spec"]), tuple(payload["value"])
+    )
+
+
+class _Lifecycle(NamedTuple):
+    """How one journaled lifecycle kind encodes what it did.
+
+    ``outcome(payload, result)`` is the deterministic encoding the ack
+    digests and replay recomputes; ``recorded(server, payload,
+    response)`` answers a duplicate; ``response(result)`` is the
+    recorded response (``None``: the outcome doubles as it).
+    """
+
+    outcome: Callable[[dict[str, Any], Any], dict[str, Any]]
+    recorded: Callable[..., Any]
+    response: Callable[[Any], dict[str, Any]] | None = None
+
+
+_LIFECYCLE: dict[str, _Lifecycle] = {
+    "compile": _Lifecycle(
+        outcome=_compile_outcome,
+        recorded=_recorded_receipt,
+        response=ServerCompileReceipt.to_json,
+    ),
+    "open_session": _Lifecycle(
+        outcome=lambda payload, _session: {
+            "kind": "open_session",
+            "session_id": payload["session_id"],
+            "user_id": payload["user_id"],
+        },
+        # The live handle, or a detached one (a Session is always truthy).
+        recorded=lambda server, payload, _response: (
+            server._session_handle(payload["session_id"])
+            or Session(session_id=payload["session_id"], secret=_sealed(payload))
+        ),
+    ),
+    "close_session": _Lifecycle(
+        outcome=lambda payload, _session: {
+            "kind": "close_session",
+            "session_id": payload["session_id"],
+        },
+        # The recorded close already happened; the live handle is gone.
+        recorded=lambda _server, _payload, _response: None,
+    ),
+    "advance_epoch": _Lifecycle(
+        outcome=lambda _payload, epoch: {"kind": "advance_epoch", "epoch": epoch},
+        recorded=lambda _server, _payload, response: int(response["epoch"]),
+    ),
+}
 
 
 class DeclassificationServer:
@@ -423,13 +530,15 @@ class DeclassificationServer:
             inline=config.inline_compiles,
         )
         self.pool.metrics = self.hub.registry
-        self.serving_pool: ServingShardPool | None = None
-        if config.serving_shards > 0:
-            # Fail at construction, not first flush: shard serving ships
-            # the policies as JSON, so they need structural encodings.
+        if config.serving_shards > 0 or journal is not None:
+            # Fail at construction, not first flush: shard serving and
+            # the journal's configure entry (which replay rebuilds from)
+            # ship the policies as JSON, so they need structural encodings.
             policy_to_json(policy)
             if budget_floor is not None:
                 policy_to_json(budget_floor)
+        self.serving_pool: ServingShardPool | None = None
+        if config.serving_shards > 0:
             self.serving_pool = ServingShardPool(
                 config.serving_shards, inline=config.inline_serving
             )
@@ -490,12 +599,6 @@ class DeclassificationServer:
             and hasattr(journal.backend, "journal_ack_with_bounds")
         )
         if journal is not None:
-            # Journaled gateways must be replayable: the configure entry
-            # ships the policies as JSON, so — like shard serving — they
-            # need structural encodings.  Fail at construction.
-            policy_to_json(policy)
-            if budget_floor is not None:
-                policy_to_json(budget_floor)
             if self._atomic_ledger:
                 self.ledger.buffer_writes()
             self._journal_configure()
@@ -528,49 +631,32 @@ class DeclassificationServer:
     ) -> ServerCompileReceipt:
         """Make a query declassifiable, through cache, coalescing, or shards.
 
-        On a journaled server the request is appended to the write-ahead
-        journal before compiling and acknowledged after; a duplicate
+        The query is parsed and validated against its secret first: an
+        invalid request (``LexError``/``ParseError``/
+        ``QueryValidationError``) is refused before anything is
+        journaled, like a shed one.  On a journaled server the request
+        then runs through :meth:`_lifecycle` — a duplicate
         ``idempotency_key`` returns the recorded receipt without
         re-executing.  Raises
         :class:`~repro.server.workers.ShardOverloaded` when the shard
         sheds the job.
         """
-        if self.journal is None:
-            return await self._register_query(request)
         query = (
             parse_bool(request.query)
             if isinstance(request.query, str)
             else request.query
         )
-        payload = {
-            "name": request.name,
-            "query": expr_to_json(query),
-            "secret": spec_to_json(request.secret),
-            "options": (
-                None
-                if request.options is None
-                else options_to_json(request.options)
-            ),
-        }
-        key = idempotency_key or self.journal.auto_key("compile")
-        entry = self.journal.begin(key, "compile", payload)
-        if entry.status == "done":
-            self.stats.journal_duplicates += 1
-            return ServerCompileReceipt.from_json(entry.response)
-        self.stats.journal_appends += 1
-        faults.maybe_crash("journal", "crash_after_journal_before_execute")
-        receipt = await self._register_query(replace(request, query=query))
-        faults.maybe_crash("journal", "crash_after_execute_before_ack")
-        self.journal.ack(
-            entry.seq,
-            _compile_outcome(receipt),
-            response=receipt.to_json(),
-            bounds=self._drained_bounds(),
+        validate_query(query, request.secret)
+        request = replace(request, query=query)
+        return await self._lifecycle(
+            "compile",
+            _compile_payload(request),
+            idempotency_key,
+            lambda: self._register_query(request),
         )
-        return receipt
 
     async def _register_query(self, request: CompileRequest) -> ServerCompileReceipt:
-        """The unjournaled compile path (cache → coalesce → shard).
+        """The compile executor (cache → coalesce → shard), query parsed.
 
         Resolution order: (1) the shared cache (memory, warm-started from
         the store) — a lookup; (2) an identical canonical problem already
@@ -580,52 +666,45 @@ class DeclassificationServer:
         options = (
             request.options if request.options is not None else self.default_options
         )
-        query = (
-            parse_bool(request.query)
-            if isinstance(request.query, str)
-            else request.query
-        )
-        request = replace(request, query=query, options=options)
+        query = request.query
+        request = replace(request, options=options)
         key = self.cache.key_for(query, request.secret, options)
-
-        if key in self.cache:
-            receipt = self.service.register_query(request)
-            self.stats.compile_cache_hits += 1
-            self._count_compile("cache_hit")
-            return ServerCompileReceipt(
-                name=receipt.name,
-                cache_hit=True,
-                coalesced=False,
-                shard=None,
-                verified=receipt.verified,
-                synth_time=receipt.synth_time,
-                verify_time=receipt.verify_time,
-            )
-
+        shard = None
         inflight = self._inflight.get(key)
-        if inflight is not None:
+        if key in self.cache:
+            outcome = "cache_hit"
+            self.stats.compile_cache_hits += 1
+        elif inflight is not None:
             await asyncio.shield(inflight)
-            receipt = self.service.register_query(request)
+            outcome = "coalesced"
             self.stats.compile_coalesced += 1
-            self._count_compile("coalesced")
-            return ServerCompileReceipt(
-                name=receipt.name,
-                cache_hit=False,
-                coalesced=True,
-                shard=None,
-                verified=receipt.verified,
-                synth_time=receipt.synth_time,
-                verify_time=receipt.verify_time,
-            )
+        else:
+            outcome = "compiled"
+            shard = self.pool.shard_for(query)
+            await self._compile_into_cache(key, request, shard)
+            self.stats.compiles += 1
+        receipt = self.service.register_query(request)
+        self._count_compile(outcome)
+        return ServerCompileReceipt(
+            name=receipt.name,
+            cache_hit=outcome == "cache_hit",
+            coalesced=outcome == "coalesced",
+            shard=shard,
+            verified=receipt.verified,
+            synth_time=receipt.synth_time,
+            verify_time=receipt.verify_time,
+        )
 
-        loop = asyncio.get_running_loop()
-        inflight = loop.create_future()
+    async def _compile_into_cache(
+        self, key: str, request: CompileRequest, shard: int
+    ) -> None:
+        """Compile on *shard* and cache the artifact; waiters coalesce on it."""
+        inflight = asyncio.get_running_loop().create_future()
         self._inflight[key] = inflight
-        shard = self.pool.shard_for(query)
         try:
             try:
                 compiled = await self._compile_supervised(
-                    request.name, query, request.secret, options, shard
+                    request.name, request.query, request.secret, request.options, shard
                 )
             except ShardOverloaded:
                 self.stats.compile_shed += 1
@@ -642,19 +721,6 @@ class DeclassificationServer:
             inflight.set_result(key)
         finally:
             self._inflight.pop(key, None)
-
-        receipt = self.service.register_query(request)
-        self.stats.compiles += 1
-        self._count_compile("compiled")
-        return ServerCompileReceipt(
-            name=receipt.name,
-            cache_hit=False,
-            coalesced=False,
-            shard=shard,
-            verified=receipt.verified,
-            synth_time=receipt.synth_time,
-            verify_time=receipt.verify_time,
-        )
 
     async def _compile_supervised(
         self,
@@ -725,45 +791,19 @@ class DeclassificationServer:
         order-preserved); the returned :class:`Session` is the gateway's
         handle, and its knowledge field stays ``None``.
 
-        On a journaled server the open is appended before executing; a
-        duplicate ``idempotency_key`` returns the live handle (or a
-        detached one) without opening twice.
+        On a journaled server a duplicate ``idempotency_key`` returns the
+        live handle (or a detached one) without opening twice.
         """
-        if self.journal is None:
-            return self._open_session(session_id, secret, user_id=user_id)
         if not isinstance(secret, ProtectedSecret):
             spec, value = secret
             secret = ProtectedSecret.seal(spec, value)
         user = user_id if user_id is not None else session_id
-        payload = {
-            "session_id": session_id,
-            "user_id": user,
-            "spec": spec_to_json(secret.spec),
-            # Raw value in the journal is inside the TCB, exactly like
-            # the open op shipped to a serving shard: the journal lives
-            # in the same store the gateway already trusts.
-            "value": list(secret.unprotect_tcb()),
-        }
-        key = idempotency_key or self.journal.auto_key("open_session")
-        entry = self.journal.begin(key, "open_session", payload)
-        if entry.status == "done":
-            self.stats.journal_duplicates += 1
-            handle = self._session_handle(session_id)
-            return (
-                handle
-                if handle is not None
-                else Session(session_id=session_id, secret=secret)
-            )
-        self.stats.journal_appends += 1
-        faults.maybe_crash("journal", "crash_after_journal_before_execute")
-        session = self._open_session(session_id, secret, user_id=user)
-        faults.maybe_crash("journal", "crash_after_execute_before_ack")
-        self.journal.ack(
-            entry.seq,
-            {"kind": "open_session", "session_id": session_id, "user_id": user},
-            bounds=self._drained_bounds(),
+        return self._lifecycle(
+            "open_session",
+            _open_session_payload(session_id, user, secret),
+            idempotency_key,
+            lambda: self._open_session(session_id, secret, user),
         )
-        return session
 
     def _session_handle(self, session_id: str) -> Session | None:
         """The live handle for an open session, whichever path owns it."""
@@ -774,22 +814,14 @@ class DeclassificationServer:
         return self.manager.sessions.get(session_id)
 
     def _open_session(
-        self,
-        session_id: str,
-        secret: ProtectedSecret | tuple[SecretSpec, SecretValue],
-        *,
-        user_id: str | None = None,
+        self, session_id: str, secret: ProtectedSecret, user: str
     ) -> Session:
-        """The unjournaled open path (gateway-local or shard-routed)."""
-        user = user_id if user_id is not None else session_id
+        """The open executor (gateway-local or shard-routed)."""
         if self.serving_pool is None:
             session = self.manager.open_session(session_id, secret)
         else:
             if session_id in self._shard_sessions:
                 raise ValueError(f"session {session_id!r} already open")
-            if not isinstance(secret, ProtectedSecret):
-                spec, value = secret
-                secret = ProtectedSecret.seal(spec, value)
             self._ops_for(self.serving_pool.shard_for(user)).append(
                 self._open_session_op(session_id, user, secret)
             )
@@ -816,16 +848,9 @@ class DeclassificationServer:
         bounds = None
         if self.ledger is not None:
             bounds = {spec.name: self.ledger.export_bound(user, spec)}
-        return {
-            "op": "open_session",
-            "session_id": session_id,
-            "user_id": user,
-            "spec": spec_to_json(spec),
-            # Raw value crosses to the shard inside the TCB; the
-            # shard process re-seals it on arrival.
-            "value": list(secret.unprotect_tcb()),
-            "bounds": bounds,
-        }
+        # The journaled open payload; the shard re-seals the raw value.
+        payload = _open_session_payload(session_id, user, secret)
+        return {"op": "open_session", **payload, "bounds": bounds}
 
     def close_session(
         self, session_id: str, *, idempotency_key: str | None = None
@@ -836,28 +861,15 @@ class DeclassificationServer:
         success returning ``None`` — the recorded close already
         happened, and the live handle is gone.
         """
-        if self.journal is None:
-            return self._close_session(session_id)
-        key = idempotency_key or self.journal.auto_key("close_session")
-        entry = self.journal.begin(
-            key, "close_session", {"session_id": session_id}
+        return self._lifecycle(
+            "close_session",
+            {"session_id": session_id},
+            idempotency_key,
+            lambda: self._close_session(session_id),
         )
-        if entry.status == "done":
-            self.stats.journal_duplicates += 1
-            return None
-        self.stats.journal_appends += 1
-        faults.maybe_crash("journal", "crash_after_journal_before_execute")
-        session = self._close_session(session_id)
-        faults.maybe_crash("journal", "crash_after_execute_before_ack")
-        self.journal.ack(
-            entry.seq,
-            {"kind": "close_session", "session_id": session_id},
-            bounds=self._drained_bounds(),
-        )
-        return session
 
     def _close_session(self, session_id: str) -> Session:
-        """The unjournaled close path."""
+        """The close executor."""
         if self.serving_pool is None:
             session = self.manager.close_session(session_id)
         else:
@@ -892,19 +904,10 @@ class DeclassificationServer:
         return ops
 
     def _configure_op(self) -> dict[str, Any]:
-        return {
-            "op": "configure",
-            "policy": policy_to_json(self.manager.policy),
-            "floor": (
-                None if self.ledger is None else policy_to_json(self.ledger.floor)
-            ),
-            "decay": (
-                None if self.budget_decay is None else self.budget_decay.to_json()
-            ),
-            "mode": self.config.mode,
-            "check_both": self.config.check_both,
-            "observe": self.hub.enabled,
-        }
+        """The shard configure op: the journaled configuration, compile options aside."""
+        config = self._configure_payload()
+        del config["options"]
+        return {"op": "configure", **config, "observe": self.hub.enabled}
 
     def _ensure_attached(
         self, shard: int, query_name: str, ops: list[dict[str, Any]]
@@ -997,26 +1000,15 @@ class DeclassificationServer:
         the recorded epoch without advancing again — retried epoch ticks
         never double-dilate.
         """
-        if self.journal is None:
-            return self._advance_epoch(epochs)
-        key = idempotency_key or self.journal.auto_key("advance_epoch")
-        entry = self.journal.begin(key, "advance_epoch", {"epochs": epochs})
-        if entry.status == "done":
-            self.stats.journal_duplicates += 1
-            return int(entry.response["epoch"])
-        self.stats.journal_appends += 1
-        faults.maybe_crash("journal", "crash_after_journal_before_execute")
-        epoch = self._advance_epoch(epochs)
-        faults.maybe_crash("journal", "crash_after_execute_before_ack")
-        self.journal.ack(
-            entry.seq,
-            {"kind": "advance_epoch", "epoch": epoch},
-            bounds=self._drained_bounds(),
+        return self._lifecycle(
+            "advance_epoch",
+            {"epochs": epochs},
+            idempotency_key,
+            lambda: self._advance_epoch(epochs),
         )
-        return epoch
 
-    def _advance_epoch(self, epochs: int = 1) -> int:
-        """The unjournaled epoch path."""
+    def _advance_epoch(self, epochs: int) -> int:
+        """The epoch executor."""
         if self.ledger is None:
             raise ValueError("advance_epoch requires a budget_floor")
         epoch = self.ledger.advance_epoch(epochs)
@@ -1051,9 +1043,21 @@ class DeclassificationServer:
         charging the budget twice.  Shed requests change no state and
         are never journaled.
         """
+        return await self._downgrade(session_id, query_name, idempotency_key)
+
+    async def _downgrade(
+        self,
+        session_id: str,
+        query_name: str,
+        key: str | None,
+        trace_id: str | None = None,
+    ) -> DowngradeResult:
+        """:meth:`downgrade`, optionally pinned to an external trace id."""
         if self.journal is None:
-            return await self._enqueue_downgrade(session_id, query_name).future
-        key = idempotency_key or self.journal.auto_key("downgrade")
+            return await self._enqueue_downgrade(
+                session_id, query_name, trace_id=trace_id
+            ).future
+        key = key or self.journal.auto_key("downgrade")
         recorded = self.journal.recorded_response(key)
         if recorded is not None:
             self.stats.journal_duplicates += 1
@@ -1062,7 +1066,9 @@ class DeclassificationServer:
         if inflight is not None:
             self.stats.journal_duplicates += 1
             return await asyncio.shield(inflight)
-        pending = self._enqueue_downgrade(session_id, query_name, journal_key=key)
+        pending = self._enqueue_downgrade(
+            session_id, query_name, journal_key=key, trace_id=trace_id
+        )
         self._inflight_keys[key] = pending.future
         pending.future.add_done_callback(
             lambda _f, key=key: self._inflight_keys.pop(key, None)
@@ -1578,23 +1584,14 @@ class DeclassificationServer:
         registry.gauge(
             "anosy_gateway_queue_depth", "Downgrades queued for the next tick."
         ).set(self._queued)
-        down = (
-            self.supervisor.open_fraction("serving", self.config.serving_shards)
-            if self.serving_pool is not None
-            else 0.0
-        )
         registry.gauge(
             "anosy_gateway_degraded_fraction",
             "Fraction of serving shards with an open breaker.",
-        ).set(down)
+        ).set(self.degraded_fraction())
         registry.gauge(
             "anosy_sessions_open",
             "Open sessions (gateway handles in shard-serving mode).",
-        ).set(
-            self.manager.open_count()
-            if self.serving_pool is None
-            else len(self._shard_sessions)
-        )
+        ).set(self.open_session_count())
         stat = registry.gauge(
             "anosy_gateway_stat",
             "Mirror of the gateway's lifetime counters (ServerStats).",
@@ -1607,6 +1604,18 @@ class DeclassificationServer:
                 "anosy_journal_pending",
                 "Journal entries appended but not yet acknowledged.",
             ).set(self.journal.pending_count())
+
+    def degraded_fraction(self) -> float:
+        """Fraction of serving shards with an open breaker (0.0 without shards)."""
+        if self.serving_pool is None:
+            return 0.0
+        return self.supervisor.open_fraction("serving", self.config.serving_shards)
+
+    def open_session_count(self) -> int:
+        """Open sessions: the gateway's handles in shard-serving mode."""
+        if self.serving_pool is None:
+            return self.manager.open_count()
+        return len(self._shard_sessions)
 
     def _journal_summary(self) -> dict[str, int] | None:
         """Journal size, backlog and traffic counts (O(1): no row decode)."""
@@ -1632,18 +1641,13 @@ class DeclassificationServer:
         debugging the failure-mode matrix (OPERATIONS.md) wants it.
         """
         self.refresh_gauges()
-        degraded_fraction = (
-            self.supervisor.open_fraction("serving", self.config.serving_shards)
-            if self.serving_pool is not None
-            else 0.0
-        )
         return {
             "observe": self.hub.enabled,
             "stats": vars(self.stats).copy(),
             "queue_depth": self._queued,
             "serving_shards": self.config.serving_shards,
             "degraded": {
-                "fraction": degraded_fraction,
+                "fraction": self.degraded_fraction(),
                 "sessions": len(self._degraded_sessions),
                 "retry_after": (
                     self.supervisor.earliest_retry("serving")
@@ -1657,6 +1661,50 @@ class DeclassificationServer:
         }
 
     # -- journal & recovery ----------------------------------------------------
+    def _lifecycle(
+        self,
+        kind: str,
+        payload: dict[str, Any],
+        key: str | None,
+        execute: Callable[[], Any],
+    ) -> Any:
+        """Run one lifecycle request (compile/open/close/epoch) write-ahead.
+
+        The one journaled path every lifecycle kind shares: append the
+        entry under *key* (or find it), answer a duplicate from its
+        recorded response, fire the after-journal kill point, execute,
+        fire the before-ack kill point, then acknowledge with the kind's
+        outcome encoding and the drained ledger-mirror writes (DESIGN.md
+        §12 names what each kill point leaves behind).  Unjournaled
+        servers just execute.  An async executor (compiles) makes the
+        call awaitable; its ack then runs once the executor completes.
+        """
+        if self.journal is None:
+            return execute()
+        journal, codec = self.journal, _LIFECYCLE[kind]
+        entry = journal.begin(key or journal.auto_key(kind), kind, payload)
+        if entry.status == "done":
+            self.stats.journal_duplicates += 1
+            return codec.recorded(self, payload, entry.response)
+        self.stats.journal_appends += 1
+
+        def ack(result: Any) -> Any:
+            faults.maybe_crash("journal", "crash_after_execute_before_ack")
+            journal.ack(
+                entry.seq,
+                codec.outcome(payload, result),
+                response=None if codec.response is None else codec.response(result),
+                bounds=self._drained_bounds(),
+            )
+            return result
+
+        async def ack_when_done(pending: Any) -> Any:
+            return ack(await pending)
+
+        faults.maybe_crash("journal", "crash_after_journal_before_execute")
+        result = execute()
+        return ack_when_done(result) if asyncio.iscoroutine(result) else ack(result)
+
     def _journal_configure(self) -> None:
         """Journal this server's configuration as entry zero (idempotent).
 
@@ -1690,6 +1738,39 @@ class DeclassificationServer:
             "options": options_to_json(self.default_options),
         }
 
+    @classmethod
+    def replay_twin(
+        cls, payload: dict[str, Any], store: CacheBackend
+    ) -> "DeclassificationServer":
+        """The server a configure payload describes, built inline and unjournaled.
+
+        Decodes exactly what :meth:`_configure_payload` encodes — same
+        policies, floor, decay, mode and options — but with inline
+        compiles, gateway-local serving and no journal, so a replay
+        (:class:`~repro.server.replay.ReplaySession`) is free of process
+        pools and timers and only the decision logic can vary.
+        """
+        return cls(
+            policy_from_json(payload["policy"]),
+            budget_floor=(
+                None
+                if payload["floor"] is None
+                else policy_from_json(payload["floor"])
+            ),
+            budget_decay=(
+                None
+                if payload["decay"] is None
+                else DecayPolicy.from_json(payload["decay"])
+            ),
+            store=store,
+            options=options_from_json(payload["options"]),
+            config=ServerConfig(
+                inline_compiles=True,
+                mode=payload["mode"],
+                check_both=payload["check_both"],
+            ),
+        )
+
     async def apply_entry(
         self,
         kind: str,
@@ -1701,111 +1782,119 @@ class DeclassificationServer:
         """Execute one journal-entry payload; returns its outcome encoding.
 
         The shared execution surface of recovery (re-applying a pending
-        suffix, with each entry's own key so the re-run acks the
-        original row) and replay (re-executing an acknowledged history
-        on an unjournaled twin).  The returned encoding is exactly what
-        the original execution digested, so ``payload_digest`` of it is
-        directly comparable to the recorded ``outcome_digest``.
+        suffix under each entry's own key, so the re-run acks the
+        original row) and replay (re-executing a history on an
+        unjournaled twin).  Each kind decodes its payload and runs its
+        public request path, so the returned encoding is exactly what the
+        original execution digested (its ``outcome_digest``).
 
         ``trace_seq`` lets an unjournaled replay twin pin a downgrade's
         trace id to the original entry's journal sequence, so the twin's
         trace tree is byte-identical to the source's.
         """
-        journaled = self.journal is not None
+        key = idempotency_key
         if kind == "configure":
             # Construction already configured this server; the entry's
             # outcome is a pure function of its payload.
             return _configure_outcome(payload)
-        if kind == "compile":
-            request = _compile_request(payload)
-            receipt = (
-                await self.register_query(request, idempotency_key=idempotency_key)
-                if journaled
-                else await self._register_query(request)
-            )
-            return _compile_outcome(receipt)
-        if kind == "open_session":
-            secret = ProtectedSecret.seal(
-                spec_from_json(payload["spec"]), tuple(payload["value"])
-            )
-            sid, user = payload["session_id"], payload["user_id"]
-            if journaled:
-                self.open_session(
-                    sid, secret, user_id=user, idempotency_key=idempotency_key
-                )
-            else:
-                self._open_session(sid, secret, user_id=user)
-            return {"kind": "open_session", "session_id": sid, "user_id": user}
-        if kind == "close_session":
-            sid = payload["session_id"]
-            if journaled:
-                self.close_session(sid, idempotency_key=idempotency_key)
-            else:
-                self._close_session(sid)
-            return {"kind": "close_session", "session_id": sid}
-        if kind == "advance_epoch":
-            epochs = int(payload["epochs"])
-            epoch = (
-                self.advance_epoch(epochs, idempotency_key=idempotency_key)
-                if journaled
-                else self._advance_epoch(epochs)
-            )
-            return {"kind": "advance_epoch", "epoch": epoch}
         if kind == "downgrade":
-            sid, query_name = payload["session_id"], payload["query_name"]
-            result = (
-                await self.downgrade(
-                    sid, query_name, idempotency_key=idempotency_key
-                )
-                if journaled
-                else await self._enqueue_downgrade(
-                    sid,
-                    query_name,
-                    trace_id=(
-                        trace_id_for(idempotency_key, trace_seq)
-                        if idempotency_key is not None and trace_seq is not None
-                        else None
-                    ),
-                ).future
+            trace_id = (
+                trace_id_for(key, trace_seq)
+                if key is not None and trace_seq is not None
+                else None
+            )
+            result = await self._downgrade(
+                payload["session_id"], payload["query_name"], key, trace_id
             )
             return downgrade_result_to_json(result)
-        raise ValueError(f"unknown journal entry kind {kind!r}")
+        if kind == "compile":
+            result = await self.register_query(
+                _compile_request(payload), idempotency_key=key
+            )
+        elif kind == "open_session":
+            result = self.open_session(
+                payload["session_id"],
+                _sealed(payload),
+                user_id=payload["user_id"],
+                idempotency_key=key,
+            )
+        elif kind == "close_session":
+            result = self.close_session(payload["session_id"], idempotency_key=key)
+        elif kind == "advance_epoch":
+            result = self.advance_epoch(int(payload["epochs"]), idempotency_key=key)
+        else:
+            raise ValueError(f"unknown journal entry kind {kind!r}")
+        return _LIFECYCLE[kind].outcome(payload, result)
 
-    async def recover_from_journal(self) -> JournalRecovery:
-        """Converge this freshly booted server onto its journal's state.
+    async def rebuild_generation(
+        self, history: Sequence[JournalEntry]
+    ) -> JournalRecovery:
+        """Rebuild the ephemeral state an acknowledged journal prefix implies.
 
-        Two phases.  (1) Rebuild ephemeral state from the *acknowledged*
-        history: re-register the live queries (warm cache — zero
-        recompiles) and re-open the live sessions, directly, without new
-        journal entries.  (2) Re-apply the *pending* suffix — requests a
-        dead process journaled but never acknowledged — through the
-        normal journaled machinery under each entry's original key, so
-        the re-run acknowledges the original row.  A pending request
-        that had already executed re-executes; the ledger's monotone
-        intersection folds make that converge to exactly the state an
-        uninterrupted run reaches.  Duplicate client retries afterwards
-        short-circuit to the recorded responses.
-
-        A pending entry that fails validation again (unknown session,
-        malformed payload) is skipped and stays pending — visibly, for
-        the operator — rather than wedging every boot.
+        The one rebuild shared by recovery (after a crash) and replay (at
+        a restart boundary).  From *history*'s
+        :func:`~repro.server.journal.live_state`: re-register the live
+        queries (warm cache — zero recompiles), re-open the live
+        sessions, and re-fold their knowledge — with no journal entry,
+        ledger charge or audit decision.  Knowledge is an intersection of
+        posterior boxes (commutative, idempotent), so one re-fold per
+        distinct acknowledged authorized (session, query) pair rebuilds
+        exactly what the dead process held: the rebuilt gateway is a
+        seamless continuation, and a journal recorded across crashes
+        replays as one history.  Shard-owned sessions are skipped; shard
+        rehydration rebuilds their knowledge.
         """
-        if self.journal is None:
-            raise ValueError("recover_from_journal requires a journaled server")
-        entries = self.journal.entries()
-        state = live_state(e for e in entries if e.status == "done")
+        state = live_state(history)
         for payload in state.compiles.values():
             await self._register_query(_compile_request(payload))
         for payload in state.sessions.values():
             if self._session_handle(payload["session_id"]) is None:
                 self._open_session(
-                    payload["session_id"],
-                    ProtectedSecret.seal(
-                        spec_from_json(payload["spec"]), tuple(payload["value"])
-                    ),
-                    user_id=payload["user_id"],
+                    payload["session_id"], _sealed(payload), payload["user_id"]
                 )
-        refolded = self._refold_knowledge(entries, state)
+        manager = self.service.manager
+        refolded = 0
+        seen: set[tuple[str, str]] = set()
+        for entry in history:
+            # A pending entry has no response, so it is never refolded.
+            if entry.kind != "downgrade" or not (entry.response or {}).get("authorized"):
+                continue
+            pair = (entry.payload["session_id"], entry.payload["query_name"])
+            if pair in seen or pair[0] not in manager.sessions:
+                continue
+            seen.add(pair)
+            if manager.try_downgrade(*pair).authorized:
+                refolded += 1
+        return JournalRecovery(
+            queries=len(state.compiles),
+            sessions=len(state.sessions),
+            reapplied=0,
+            refolded=refolded,
+        )
+
+    async def recover_from_journal(self) -> JournalRecovery:
+        """Converge this freshly booted server onto its journal's state.
+
+        Two phases.  (1) :meth:`rebuild_generation` from the whole
+        journal.  (2) Re-apply the *pending* suffix — requests a dead
+        process journaled but never acknowledged — through
+        :meth:`apply_entry` under each entry's original key, so the
+        re-run acknowledges the original row.  A pending request that
+        had already executed re-executes; the ledger's monotone
+        intersection folds make that converge to exactly the state an
+        uninterrupted run reaches.  Duplicate client retries afterwards
+        short-circuit to the recorded responses.
+
+        A pending entry that is invalid on its own terms
+        (:data:`REJECTED_REQUEST_ERRORS`: an unknown session, a query
+        outside its secret's fragment, a malformed payload) is skipped
+        and stays pending — visibly, for the operator — rather than
+        wedging every boot.
+        """
+        if self.journal is None:
+            raise ValueError("recover_from_journal requires a journaled server")
+        entries = self.journal.entries()
+        rebuilt = await self.rebuild_generation(entries)
         reapplied = 0
         for entry in entries:
             if entry.status != "pending" or entry.kind == "configure":
@@ -1814,47 +1903,11 @@ class DeclassificationServer:
                 await self.apply_entry(
                     entry.kind, entry.payload, idempotency_key=entry.key
                 )
-            except (ValueError, KeyError):
+            except REJECTED_REQUEST_ERRORS:
                 continue
             reapplied += 1
         self.stats.journal_recovered += reapplied
-        return JournalRecovery(
-            queries=len(state.compiles),
-            sessions=len(state.sessions),
-            reapplied=reapplied,
-            refolded=refolded,
-        )
-
-    def _refold_knowledge(self, entries, state) -> int:
-        """Rebuild live sessions' knowledge from acked authorized history.
-
-        Session knowledge is the intersection of per-(query, response)
-        posterior boxes — commutative and idempotent — so one re-fold
-        per *distinct* acknowledged authorized (session, query) pair,
-        through the plain session manager (no ledger charge, no audit
-        event, no journal entry), reconstructs exactly the knowledge the
-        killed process held.  A recovered gateway is therefore a
-        seamless continuation of the crashed one, which is what lets a
-        journal recorded across crashes replay as a single history.
-        Shard-owned sessions (serving-shard mode) are skipped: their
-        knowledge lives in the shard process and is rebuilt by the
-        shard rehydration path instead.
-        """
-        manager = self.service.manager
-        refolded = 0
-        seen: set[tuple[str, str]] = set()
-        for entry in entries:
-            if entry.status != "done" or entry.kind != "downgrade":
-                continue
-            if not (entry.response or {}).get("authorized"):
-                continue
-            pair = (entry.payload["session_id"], entry.payload["query_name"])
-            if pair in seen or pair[0] not in manager.sessions:
-                continue
-            seen.add(pair)
-            if manager.try_downgrade(*pair).authorized:
-                refolded += 1
-        return refolded
+        return replace(rebuilt, reapplied=reapplied)
 
     # -- background ticking ----------------------------------------------------
     async def start(self) -> None:
@@ -1919,11 +1972,7 @@ class DeclassificationServer:
                 },
                 "degraded_sessions": len(self._degraded_sessions),
             },
-            "open_sessions": (
-                self.manager.open_count()
-                if self.serving_pool is None
-                else len(self._shard_sessions)
-            ),
+            "open_sessions": self.open_session_count(),
             "audit_events": self.service.audit.total,
             "audit": {
                 "retained": len(self.service.audit),

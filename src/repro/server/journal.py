@@ -489,12 +489,13 @@ def chain_digest(digests: Iterable[str]) -> str:
 
 @dataclass
 class JournalState:
-    """The live gateway state a journal prefix implies.
+    """The live gateway state a journal prefix's acknowledged entries imply.
 
     ``compiles`` maps query name → latest compile payload; ``sessions``
     maps session id → its open payload, with closed sessions removed.
-    Both recovery (rebuilding ephemeral state after a crash) and replay
-    (rebuilding it at a restart boundary) are folds of this function.
+    Recovery (after a crash) and replay (at a restart boundary) rebuild a
+    generation from it through one gateway method,
+    :meth:`~repro.server.gateway.DeclassificationServer.rebuild_generation`.
     """
 
     compiles: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -511,8 +512,13 @@ class JournalState:
 
 
 def live_state(entries: Iterable[JournalEntry]) -> JournalState:
-    """Fold a journal prefix into the ephemeral state it implies."""
+    """Fold a journal prefix into the ephemeral state it implies.
+
+    Pending entries are skipped: they may never have executed, and a
+    pending entry that is invalid must not be rebuilt on every boot.
+    """
     state = JournalState()
     for entry in sorted(entries, key=lambda e: e.seq):
-        state.fold(entry)
+        if entry.status == "done":
+            state.fold(entry)
     return state

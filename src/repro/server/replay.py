@@ -26,17 +26,20 @@ checks that every decision comes out **bit-identical**:
   asserts the replayed trees are byte-identical to the recorded ones.
 
 Restart boundaries are part of the history: each ``configure`` entry
-marks a process generation, and replay rebuilds a fresh server there —
-re-registering the then-live queries and re-opening the then-live
-sessions — while the ledger persists on one shared in-memory store, just
-as the real store survives real restarts.  A journal recorded across N
-crashes therefore replays as N generations converging on one ledger.
+marks a process generation, and replay builds a fresh twin there and
+rebuilds it through the same
+:meth:`~repro.server.gateway.DeclassificationServer.rebuild_generation`
+a real boot's recovery runs, while the ledger persists on one shared
+in-memory store, just as the real store survives real restarts.  A
+journal recorded across N crashes therefore replays as N generations
+converging on one ledger.
 
 Pending entries (journaled but never acknowledged — the crash windows)
 carry no recorded digest to compare against; replay applies them by
 default, mirroring what
 :meth:`~repro.server.gateway.DeclassificationServer.recover_from_journal`
-does on a real boot, and counts them separately.
+does on a real boot, and counts them separately.  One that is invalid
+on its own terms is recorded as an ``error`` outcome, never raised.
 
 Replay is deliberately dependency-free beyond the runtime itself: feed
 it a :class:`~repro.server.journal.RequestJournal`, any backend, or a
@@ -47,29 +50,19 @@ plain list of entries (e.g. decoded from a journal backup), and call
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from repro.core.plugin import CompileOptions
 from repro.obs.trace import Tracer
-from repro.server.gateway import (
-    DeclassificationServer,
-    ServerConfig,
-    _configure_outcome,
-)
+from repro.server.gateway import DeclassificationServer, REJECTED_REQUEST_ERRORS
 from repro.server.journal import (
     JournalBackend,
     JournalEntry,
     RequestJournal,
     chain_digest,
 )
-from repro.server.ledger import DecayPolicy
 from repro.server.store import SQLiteStore
-from repro.service.serialize import (
-    options_from_json,
-    payload_digest,
-    policy_from_json,
-)
+from repro.service.serialize import payload_digest
 
 __all__ = [
     "ReplayDivergence",
@@ -140,20 +133,14 @@ class ReplayReport:
         )
 
 
-@dataclass
-class _Generation:
-    """Live state carried across a restart boundary during replay."""
-
-    compiles: dict[str, dict[str, Any]] = field(default_factory=dict)
-    sessions: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-
 class ReplaySession:
     """Re-execute a journal against a fresh twin and compare outcomes.
 
-    The twin is built from each ``configure`` entry's payload — the same
-    policies, floor, decay, mode, and options the recorded process ran
-    with — but always inline and unjournaled: replay must be free of
+    The twin is built from each ``configure`` entry's payload
+    (:meth:`DeclassificationServer.replay_twin
+    <repro.server.gateway.DeclassificationServer.replay_twin>`) — the
+    same policies, floor, decay, mode, and options the recorded process
+    ran with — but always inline and unjournaled: replay must be free of
     process pools, timers, and the journal itself, so the only thing
     that can vary is the decision logic under test.
     """
@@ -187,7 +174,6 @@ class ReplaySession:
     async def run(self) -> ReplayReport:
         """Replay every entry; returns the conformance report."""
         store = SQLiteStore(":memory:")
-        state = _Generation()
         server: DeclassificationServer | None = None
         recorded: list[str] = []
         replayed: list[str] = []
@@ -201,31 +187,27 @@ class ReplaySession:
                 if server is not None:
                     self._collect_spans(server)
                     server.shutdown()
-                server = await self._boot(entry.payload, store, state)
-                # Mirror recovery's knowledge refold: the recorded
-                # process rebuilt each live session's knowledge from the
-                # acked authorized history when it booted, so the twin
-                # must too, or post-restart downgrades diverge.
-                server._refold_knowledge(self.entries[:index], state)
+                # A new process generation: the store is shared across
+                # generations — like the real SQLite file surviving a
+                # crash — and the twin rebuilds live queries, sessions
+                # and knowledge exactly as the recorded process's
+                # recovery did when it booted.
+                server = DeclassificationServer.replay_twin(entry.payload, store)
+                await server.rebuild_generation(self.entries[:index])
                 restarts += 1
-                actual: dict[str, Any] | None = _configure_outcome(entry.payload)
-            elif server is None:  # pragma: no cover - guarded in __init__
-                raise ValueError("entry precedes the first configure entry")
             elif entry.status == "pending" and not self.apply_pending:
                 counts["skipped"] += 1
                 continue
-            else:
-                try:
-                    actual = await server.apply_entry(
-                        entry.kind,
-                        entry.payload,
-                        idempotency_key=entry.key,
-                        trace_seq=entry.seq,
-                    )
-                except (ValueError, KeyError) as exc:
-                    actual = {"kind": "error", "error": type(exc).__name__}
-            self._track(state, entry)
-            if entry.kind == "downgrade" and actual is not None:
+            try:
+                actual = await server.apply_entry(
+                    entry.kind,
+                    entry.payload,
+                    idempotency_key=entry.key,
+                    trace_seq=entry.seq,
+                )
+            except REJECTED_REQUEST_ERRORS as exc:
+                actual = {"kind": "error", "error": type(exc).__name__}
+            if entry.kind == "downgrade":
                 if actual.get("authorized") is False:
                     refusals.append(
                         ReplayRefusal(
@@ -283,60 +265,6 @@ class ReplaySession:
         tracer = server.hub.tracer
         for trace_id in tracer.trace_ids():
             self.tracer.absorb(span.to_json() for span in tracer.spans(trace_id))
-
-    async def _boot(
-        self,
-        payload: dict[str, Any],
-        store: SQLiteStore,
-        state: _Generation,
-    ) -> DeclassificationServer:
-        """Build one process generation's twin and rehydrate live state.
-
-        The store is shared across generations — exactly like the real
-        SQLite file surviving a crash — so ledger bounds recorded before
-        a restart keep constraining downgrades after it.
-        """
-        server = DeclassificationServer(
-            policy_from_json(payload["policy"]),
-            budget_floor=(
-                None
-                if payload["floor"] is None
-                else policy_from_json(payload["floor"])
-            ),
-            budget_decay=(
-                None
-                if payload["decay"] is None
-                else DecayPolicy.from_json(payload["decay"])
-            ),
-            store=store,
-            options=(
-                CompileOptions()
-                if payload["options"] is None
-                else options_from_json(payload["options"])
-            ),
-            config=ServerConfig(
-                inline_compiles=True,
-                inline_serving=True,
-                serving_shards=0,
-                mode=payload["mode"],
-                check_both=payload["check_both"],
-            ),
-        )
-        for compile_payload in state.compiles.values():
-            await server.apply_entry("compile", compile_payload)
-        for session_payload in state.sessions.values():
-            await server.apply_entry("open_session", session_payload)
-        return server
-
-    @staticmethod
-    def _track(state: _Generation, entry: JournalEntry) -> None:
-        """Fold one entry into the live state a restart must rebuild."""
-        if entry.kind == "compile":
-            state.compiles[entry.payload["name"]] = entry.payload
-        elif entry.kind == "open_session":
-            state.sessions[entry.payload["session_id"]] = entry.payload
-        elif entry.kind == "close_session":
-            state.sessions.pop(entry.payload.get("session_id"), None)
 
 
 def replay_journal(

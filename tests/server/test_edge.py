@@ -137,6 +137,28 @@ def test_missing_fields_and_bad_json_are_400(edge):
     assert json.load(excinfo.value)["error"] == "bad_request"
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "z <= 3",  # parses, but names a field the secret does not declare
+        "x <=",  # does not parse
+        "x $ 3",  # does not lex
+    ],
+)
+def test_invalid_compile_is_400_and_never_journaled(edge, query):
+    journal = edge.server.journal
+    journaled, pending = len(journal), journal.pending_count()
+    status, body, _ = call(
+        edge,
+        "POST",
+        "/v1/queries",
+        {"name": "bad", "query": query, "secret": spec_to_json(SPEC)},
+        key=f"edge/bad/{query}",
+    )
+    assert status == 400 and body["error"] == "bad_request"
+    assert (len(journal), journal.pending_count()) == (journaled, pending)
+
+
 def test_unknown_route_is_404_with_structured_body(edge):
     status, body, _ = call(edge, "GET", "/v1/nope")
     assert status == 404

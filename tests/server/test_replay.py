@@ -23,7 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plugin import CompileOptions
+from repro.lang.canonical import expr_to_json, spec_to_json
+from repro.lang.parser import parse_bool
 from repro.lang.secrets import SecretSpec
+from repro.lang.validate import QueryValidationError
 from repro.monad.policy import size_above
 from repro.server import faults
 from repro.server.faults import CRASH_EXIT_CODE, FaultPlan, FaultSpec
@@ -229,6 +232,59 @@ def test_restart_with_changed_config_is_a_generation_boundary(tmp_path):
     asyncio.run(scenario())
 
 
+def test_invalid_compile_is_rejected_before_the_journal_and_never_wedges_boot():
+    """A compile invalid for its secret is refused like a shed request.
+
+    It is checked before the write-ahead append, so it leaves no row.  A
+    journal written before that check can still hold such a row, pending
+    forever: recovery and replay must skip it, not re-raise it on every
+    boot.
+    """
+    store = SQLiteStore(":memory:")
+
+    async def record():
+        server = make_server(store, store=store)
+        await boot(server, QUERIES[:1])
+        server.open_session("s1", (SPEC, SECRET), user_id="alice")
+        journaled = len(server.journal)
+        with pytest.raises(QueryValidationError):
+            await server.register_query(
+                CompileRequest("bad", "z <= 3", SPEC), idempotency_key="bad"
+            )
+        assert len(server.journal) == journaled
+        assert server.journal.entry("bad") is None
+        # The row an older gateway left behind: journaled, never acked.
+        server.journal.begin(
+            "legacy-bad",
+            "compile",
+            {
+                "name": "bad",
+                "query": expr_to_json(parse_bool("z <= 3")),
+                "secret": spec_to_json(SPEC),
+                "options": None,
+            },
+        )
+        server.shutdown()
+
+    async def recover():
+        # A changed floor opens a new process generation, so replay also
+        # rebuilds a generation over the stale row.
+        server = make_server(store, store=store, budget_floor=size_above(100))
+        recovery = await server.recover_from_journal()
+        assert (recovery.queries, recovery.sessions) == (1, 1)
+        assert recovery.reapplied == 0
+        assert server.journal.pending_count() == 1  # still visible
+        assert (await server.downgrade("s1", "west")).authorized
+        server.shutdown()
+
+    asyncio.run(record())
+    asyncio.run(recover())
+    report = replay_journal(RequestJournal(store))
+    assert report.conforms and report.pending_applied == 1
+    assert report.restarts == 1
+    store.close()
+
+
 # ---------------------------------------------------------------------------
 # Crash windows (simulated death, in-process)
 # ---------------------------------------------------------------------------
@@ -293,6 +349,116 @@ def test_crash_window_recovers_and_never_double_charges(tmp_path, kind):
     assert actual == expected
     assert retried.knowledge_size == control_result.knowledge_size
     assert report.conforms
+
+
+async def _lifecycle_setup(server):
+    """Shared prefix of every lifecycle drill: two queries, two sessions."""
+    await boot(server, QUERIES[:2])
+    server.open_session("s1", (SPEC, SECRET), user_id="alice")
+    server.open_session("s2", (SPEC, SECRET), user_id="bob")
+    await server.downgrade("s1", "west", idempotency_key="d1")
+
+
+#: One journaled lifecycle request per kind, and the downgrade after it
+#: whose ledger effect shows the request's state converged.
+LIFECYCLE_OPS = {
+    "compile": (
+        lambda server: server.register_query(
+            CompileRequest("inner", "x <= 49", SPEC), idempotency_key="op"
+        ),
+        ("s1", "inner"),
+    ),
+    "open_session": (
+        lambda server: server.open_session(
+            "s3", (SPEC, SECRET), user_id="carol", idempotency_key="op"
+        ),
+        ("s3", "south"),
+    ),
+    "close_session": (
+        lambda server: server.close_session("s2", idempotency_key="op"),
+        ("s2", "west"),
+    ),
+    "advance_epoch": (
+        lambda server: server.advance_epoch(idempotency_key="op"),
+        ("s1", "south"),
+    ),
+}
+
+
+async def _lifecycle_op(server, kind):
+    result = LIFECYCLE_OPS[kind][0](server)
+    return await result if asyncio.iscoroutine(result) else result
+
+
+def _answer(kind, result):
+    """The client-visible part of a lifecycle answer, comparable across runs."""
+    if kind == "compile":
+        return (result.name, result.verified)
+    if kind == "open_session":
+        return (result.session_id, result.spec.name)
+    return result if kind == "advance_epoch" else None
+
+
+@pytest.mark.parametrize("crash", CRASH_KINDS)
+@pytest.mark.parametrize("kind", sorted(LIFECYCLE_OPS))
+def test_lifecycle_crash_window_recovers_exactly_once(tmp_path, kind, crash):
+    """Die in either journal crash window of each lifecycle request kind.
+
+    Recovery re-applies exactly the one in-doubt entry, the client's
+    retry answers from the journal, the ledger lands where an
+    uninterrupted run lands, and the history replays bit-identically.
+    """
+    follow_up = LIFECYCLE_OPS[kind][1]
+    decay = DecayPolicy(radius=1)
+
+    async def control():
+        store = SQLiteStore(tmp_path / "control.db")
+        server = make_server(store, store=store, budget_decay=decay)
+        await _lifecycle_setup(server)
+        answer = _answer(kind, await _lifecycle_op(server, kind))
+        after = await server.downgrade(*follow_up, idempotency_key="after")
+        server.shutdown()
+        expected = bounds_of(store)
+        store.close()
+        return expected, answer, after
+
+    async def crashed():
+        store = SQLiteStore(tmp_path / "crash.db")
+        server = make_server(store, store=store, budget_decay=decay)
+        await _lifecycle_setup(server)
+        faults.install_fault_plan(
+            FaultPlan([FaultSpec(site="journal", kind=crash)], seed=CHAOS_SEED),
+            simulate=True,
+        )
+        with pytest.raises(BrokenProcessPool):
+            await _lifecycle_op(server, kind)
+        faults.clear_fault_plan()
+        assert server.journal.pending_count() == 1
+        # Dead without shutdown; a successor boots on the same store.
+        reborn = make_server(store, store=store, budget_decay=decay)
+        recovery = await reborn.recover_from_journal()
+        assert recovery.reapplied == 1
+        assert reborn.journal.pending_count() == 0
+        duplicates = reborn.stats.journal_duplicates
+        answer = _answer(kind, await _lifecycle_op(reborn, kind))
+        assert reborn.stats.journal_duplicates == duplicates + 1
+        after = await reborn.downgrade(*follow_up, idempotency_key="after")
+        reborn.shutdown()
+        actual = bounds_of(store)
+        report = await ReplaySession(RequestJournal(store)).run()
+        store.close()
+        return actual, answer, after, report
+
+    expected, control_answer, control_after = asyncio.run(control())
+    actual, answer, after, report = asyncio.run(crashed())
+    assert actual == expected
+    assert answer == control_answer
+    assert (after.authorized, after.knowledge_size, after.reason) == (
+        control_after.authorized,
+        control_after.knowledge_size,
+        control_after.reason,
+    )
+    assert report.conforms and report.pending_applied == 0
 
 
 # ---------------------------------------------------------------------------
