@@ -148,32 +148,39 @@ class QInfo:
         return pair
 
     def approx_batch(
-        self, priors: Iterable[AbstractDomain], *, mode: str = "under"
+        self,
+        priors: Iterable[AbstractDomain],
+        *,
+        mode: str = "under",
+        known: Mapping[AbstractDomain, DomainPair] | None = None,
     ) -> list[DomainPair]:
         """Posterior pairs for many priors against one shared ind.-set pair.
 
         Domains are immutable and hashable, so identical priors (the common
         case for fleets of fresh sessions, which all start at ⊤) are
-        intersected once and the resulting pair is shared.
+        intersected once and the resulting pair is shared.  ``known`` maps
+        priors to pairs already computed for this query and ``mode``
+        (a pair is a pure function of the prior and the ind. sets); those
+        priors are looked up, not intersected again.
         """
         true_ind, false_ind = self.indset_pair(mode=mode)
-        group: dict[AbstractDomain, int] = {}
-        keys: list[int] = []
-        distinct: list[AbstractDomain] = []
+        pairs: dict[AbstractDomain, DomainPair] = {}
+        fresh: list[AbstractDomain] = []
+        priors = list(priors)
         for prior in priors:
-            key = group.get(prior)
-            if key is None:
-                key = len(distinct)
-                group[prior] = key
-                distinct.append(prior)
-            keys.append(key)
-        pairs = list(
-            zip(
-                intersect_many(distinct, true_ind),
-                intersect_many(distinct, false_ind),
+            if prior not in pairs:
+                pair = None if known is None else known.get(prior)
+                pairs[prior] = pair
+                if pair is None:
+                    fresh.append(prior)
+        if fresh:
+            pairs.update(
+                zip(
+                    fresh,
+                    zip(intersect_many(fresh, true_ind), intersect_many(fresh, false_ind)),
+                )
             )
-        )
-        return [pairs[key] for key in keys]
+        return [pairs[prior] for prior in priors]
 
     def run_batch(self, secret_rows) -> "object":
         """Vectorized :meth:`run`: int64 rows ``[n, arity]`` → bool ``[n]``.

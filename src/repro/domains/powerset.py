@@ -19,6 +19,13 @@ Deviations from the paper (both strict improvements, see DESIGN.md):
   invariant the paper's synthesizer maintains but the data type does not).
   The paper's formula is kept as :meth:`size_disjoint_estimate`.
 * ``is_subset`` is exact, where the paper's check is sound but incomplete.
+
+*Flat* domains — no exclude boxes, pairwise-disjoint includes, the
+invariant Algorithm 1 keeps for under-approximations — take a fast path
+(see :meth:`PowersetDomain.is_flat`): their includes already are their
+disjoint pieces, and intersecting two of them needs no pruning.  The
+general ``_prune``/``subtract_boxes`` algebra serves every other domain
+and is the differential oracle for the fast path.
 """
 
 from __future__ import annotations
@@ -32,7 +39,13 @@ from repro.lang.transform import conjoin
 from repro.domains.base import AbstractDomain
 from repro.domains.box import IntervalDomain
 from repro.solver import vectoreval
-from repro.solver.boxes import Box, subtract_boxes
+from repro.solver.boxes import (
+    Box,
+    bounds_contain,
+    bounds_overlap,
+    intersect_all,
+    subtract_boxes,
+)
 from repro.solver.regions import any_box_formula, outside_boxes_formula
 
 __all__ = ["PowersetDomain", "stack_include", "intersect_stacked"]
@@ -90,12 +103,53 @@ class PowersetDomain(AbstractDomain):
         """Build from explicit include/exclude box lists."""
         return cls(spec, tuple(include), tuple(exclude))
 
+    @classmethod
+    def _derived(
+        cls,
+        spec: SecretSpec,
+        include: tuple[Box, ...],
+        exclude: tuple[Box, ...] = (),
+    ) -> "PowersetDomain":
+        """A domain whose boxes derive from already-validated ones.
+
+        Clamps and subsets of boxes inside ``spec``'s space stay inside
+        it, so the ``__post_init__`` checks are skipped; every public
+        constructor still validates.
+        """
+        domain = object.__new__(cls)
+        object.__setattr__(domain, "spec", spec)
+        object.__setattr__(domain, "include", include)
+        object.__setattr__(domain, "exclude", exclude)
+        return domain
+
     # -- geometry ---------------------------------------------------------
+    def is_flat(self) -> bool:
+        """Whether the domain is pairwise-disjoint include boxes only.
+
+        Then :meth:`pieces` is the include tuple itself and :meth:`size`
+        is Σ volume.  Intersections of flat domains are flat by
+        construction and say so; any other domain (decoded payloads,
+        dilated bounds) is checked once and the answer cached.
+        """
+        flat = self.__dict__.get("_flat")
+        if flat is None:
+            include = self.include
+            flat = not self.exclude and not any(
+                bounds_overlap(a.bounds, b.bounds)
+                for i, a in enumerate(include)
+                for b in include[i + 1 :]
+            )
+            object.__setattr__(self, "_flat", flat)
+        return flat
+
     def pieces(self) -> list[Box]:
         """The represented set as pairwise-disjoint boxes (cached)."""
-        cached = getattr(self, "_pieces_cache", None)
+        cached = self.__dict__.get("_pieces_cache")
         if cached is None:
-            cached = subtract_boxes(self.include, self.exclude)
+            if self.is_flat():
+                cached = list(self.include)
+            else:
+                cached = subtract_boxes(self.include, self.exclude)
             object.__setattr__(self, "_pieces_cache", cached)
         return cached
 
@@ -117,16 +171,9 @@ class PowersetDomain(AbstractDomain):
             other = PowersetDomain.from_interval(other)
         if not isinstance(other, PowersetDomain):
             raise TypeError(f"cannot intersect PowersetDomain with {type(other)}")
-        include = tuple(
-            overlap
-            for a in self.include
-            for b in other.include
-            if (overlap := a.intersect(b)) is not None
-        )
-        exclude = self.exclude + other.exclude
-        if not include:
-            return PowersetDomain.bottom(self.spec)
-        return PowersetDomain(self.spec, *_prune(include, exclude))
+        # Same spec, so every box has the spec's arity: the candidate
+        # clamps run unchecked.
+        return _intersection(self, other, intersect_all(self.include, other.include))
 
     def size(self) -> int:
         cached = self.__dict__.get("_size_cache")
@@ -190,7 +237,7 @@ class PowersetDomain(AbstractDomain):
         that touch no include box, are dropped — the same canonicalization
         :meth:`intersect` applies to its results.
         """
-        return PowersetDomain(self.spec, *_prune(self.include, self.exclude))
+        return PowersetDomain._derived(self.spec, *_prune(self.include, self.exclude))
 
     def __repr__(self) -> str:
         return (
@@ -219,14 +266,39 @@ def _prune(
     """
     kept_include: list[Box] = []
     for box in sorted(include, key=Box.volume, reverse=True):
-        if not any(other.contains_box(box) for other in kept_include):
+        bounds = box.bounds
+        if not any(bounds_contain(other.bounds, bounds) for other in kept_include):
             kept_include.append(box)
     kept_exclude = [
         box
         for box in exclude
-        if any(box.intersect(inc) is not None for inc in kept_include)
+        if any(bounds_overlap(box.bounds, inc.bounds) for inc in kept_include)
     ]
     return tuple(kept_include), tuple(kept_exclude)
+
+
+def _intersection(
+    a: PowersetDomain, b: PowersetDomain, include: list[Box]
+) -> PowersetDomain:
+    """``a ∩ b`` from its candidate include boxes (``a``-major clamps).
+
+    For two flat operands the candidates are pairwise disjoint — each
+    lies in a distinct (a-box, b-box) pair of disjoint boxes — and
+    disjoint non-empty boxes never contain one another, so :func:`_prune`
+    would keep every candidate and only apply its stable volume-descending
+    sort.  That sort is all the flat path does; the result is flat, and
+    its size is the volume sum it already computed.
+    """
+    if not include:
+        return PowersetDomain.bottom(a.spec)
+    if a.is_flat() and b.is_flat():
+        volumes = [box.volume() for box in include]
+        order = sorted(range(len(include)), key=volumes.__getitem__, reverse=True)
+        result = PowersetDomain._derived(a.spec, tuple(include[i] for i in order))
+        object.__setattr__(result, "_flat", True)
+        object.__setattr__(result, "_size_cache", sum(volumes))
+        return result
+    return PowersetDomain._derived(a.spec, *_prune(tuple(include), a.exclude + b.exclude))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +334,10 @@ def intersect_stacked(
 
     Bit-identical to ``[prior.intersect(other) for prior in priors]``:
     the candidate include boxes are produced by one vectorized clamp in
-    the scalar path's (prior-major, other-minor) order, then fed through
-    the same :func:`_prune` per prior — so objects, box order, and
-    emptiness all match.
+    the scalar path's (prior-major, other-minor) order, then finished per
+    prior exactly as :meth:`PowersetDomain.intersect` finishes them (the
+    flat path or :func:`_prune`) — so objects, box order, and emptiness
+    all match.
     """
     np = vectoreval.require_numpy()
     if not priors:
@@ -287,14 +360,9 @@ def intersect_stacked(
         for index, box_lo, box_hi in zip(
             owner[rows].tolist(), clo[rows, cols].tolist(), chi[rows, cols].tolist()
         ):
-            includes[index].append(Box(tuple(zip(box_lo, box_hi))))
-    results: list[PowersetDomain] = []
-    for prior, include in zip(priors, includes):
-        if not include:
-            results.append(PowersetDomain.bottom(prior.spec))
-        else:
-            exclude = prior.exclude + other.exclude
-            results.append(
-                PowersetDomain(prior.spec, *_prune(tuple(include), exclude))
-            )
-    return results
+            # ``clo <= chi`` held on every axis: non-empty by construction.
+            includes[index].append(Box.trusted(tuple(zip(box_lo, box_hi))))
+    return [
+        _intersection(prior, other, include)
+        for prior, include in zip(priors, includes)
+    ]

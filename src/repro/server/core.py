@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.core.qinfo import DomainPair
+from repro.domains.base import AbstractDomain
 from repro.lang.secrets import SecretSpec
 from repro.monad.anosy import DowngradeInvariantError
 from repro.obs.trace import Span, span_id_for
@@ -149,13 +151,20 @@ class ServingCore:
                         traces, sid, "serve", authorized=False, kind="unknown_session"
                     )
             admitted = present
+            # Admission's posterior pair per distinct bound, handed to the
+            # session pass of this round only: a session whose knowledge
+            # equals its ledger bound needs no intersection of its own.
+            posteriors: dict[AbstractDomain, DomainPair] = {}
             if ledger is not None and present:
                 # One batched admission pass: the floor is checked once
                 # per distinct bound instead of once per session.
                 admitted = []
                 users = {sid: self.users.get(sid, sid) for sid in present}
                 decisions = ledger.preauthorize_batch(
-                    users.values(), compiled.qinfo, mode=manager.mode
+                    users.values(),
+                    compiled.qinfo,
+                    mode=manager.mode,
+                    posteriors=posteriors,
                 )
                 for sid in present:
                     decision = decisions[users[sid]]
@@ -175,7 +184,10 @@ class ServingCore:
             # Chaos kill point: admitted (preauthorized) but not yet
             # committed — a crash here must not charge anyone.
             faults.maybe_crash("serve.round", "crash_before_result")
-            for sid, decision in manager.downgrade_batch(query_name, admitted).items():
+            served = manager.downgrade_batch(
+                query_name, admitted, posteriors=posteriors
+            )
+            for sid, decision in served.items():
                 result = results[sid] = downgrade_result(
                     sid, query_name, decision, session=manager.sessions.get(sid)
                 )

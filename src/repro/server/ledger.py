@@ -70,7 +70,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Protocol
 
-from repro.core.qinfo import QInfo, intersect_knowledge
+from repro.core.qinfo import DomainPair, QInfo, intersect_knowledge
 from repro.domains.base import AbstractDomain
 from repro.domains.box import IntervalDomain
 from repro.domains.powerset import PowersetDomain
@@ -420,7 +420,12 @@ class PrivacyBudgetLedger:
             )
 
     def preauthorize_batch(
-        self, user_ids: Iterable[str], qinfo: QInfo, *, mode: str = "under"
+        self,
+        user_ids: Iterable[str],
+        qinfo: QInfo,
+        *,
+        mode: str = "under",
+        posteriors: dict[AbstractDomain, DomainPair] | None = None,
     ) -> dict[str, LedgerDecision]:
         """Batch admission: one floor check per *distinct* sound bound.
 
@@ -434,6 +439,10 @@ class PrivacyBudgetLedger:
 
         Each distinct bound's posterior pair is kept for :meth:`commit`,
         so committing the admitted users folds no bound a second time.
+        ``posteriors``, when given, receives the same pairs keyed by
+        bound, for the session pass of the same round
+        (:meth:`SessionManager.downgrade_batch
+        <repro.service.session.SessionManager.downgrade_batch>`).
         """
         with self._lock:
             self._new_batch()
@@ -449,6 +458,8 @@ class PrivacyBudgetLedger:
             for prior, (post_true, post_false) in zip(distinct, pairs):
                 self._folds.put((prior, true_ind), post_true)
                 self._folds.put((prior, false_ind), post_false)
+            if posteriors is not None:
+                posteriors.update(zip(distinct, pairs))
             allowed = batch_pair_verdict(self.floor, pairs)
             remaining = [prior.size() for prior in distinct]
             granted = [

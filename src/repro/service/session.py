@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.core.plugin import QueryRegistry
-from repro.core.qinfo import QInfo
+from repro.core.qinfo import DomainPair, QInfo
 from repro.domains.base import AbstractDomain
 from repro.lang.secrets import SecretSpec, SecretValue
 from repro.monad.anosy import (
@@ -222,7 +222,11 @@ class SessionManager:
         return self.downgrade_batch(query_name, [session_id])[session_id]
 
     def downgrade_batch(
-        self, query_name: str, session_ids: Iterable[str] | None = None
+        self,
+        query_name: str,
+        session_ids: Iterable[str] | None = None,
+        *,
+        posteriors: Mapping[AbstractDomain, DomainPair] | None = None,
     ) -> dict[str, DowngradeDecision]:
         """Answer one query for many sessions in a single pass.
 
@@ -233,13 +237,19 @@ class SessionManager:
         fetched once; posterior pairs (via :meth:`QInfo.approx_batch
         <repro.core.qinfo.QInfo.approx_batch>`) and, in the
         ``check_both`` discipline, the secret-independent authorization
-        verdict are memoized per distinct prior.
+        verdict are memoized per distinct prior.  ``posteriors`` maps
+        priors to pairs the caller already computed for this query in
+        this manager's mode (the ledger's admission pass); priors found
+        there are not intersected again.
         """
         with self._lock:
-            return self._downgrade_batch_locked(query_name, session_ids)
+            return self._downgrade_batch_locked(query_name, session_ids, posteriors)
 
     def _downgrade_batch_locked(
-        self, query_name: str, session_ids: Iterable[str] | None
+        self,
+        query_name: str,
+        session_ids: Iterable[str] | None,
+        posteriors: Mapping[AbstractDomain, DomainPair] | None,
     ) -> dict[str, DowngradeDecision]:
         ids = list(dict.fromkeys(self.sessions if session_ids is None else session_ids))
         sessions: dict[str, Session] = {}
@@ -292,12 +302,12 @@ class SessionManager:
         ):
             self._count_path("vectorized", len(eligible))
             self._serve_eligible_vectorized(
-                query_name, qinfo, sessions, eligible, decisions, top
+                query_name, qinfo, sessions, eligible, decisions, top, posteriors
             )
         else:
             self._count_path("scalar", len(eligible))
             self._serve_eligible_scalar(
-                query_name, qinfo, sessions, eligible, decisions, top
+                query_name, qinfo, sessions, eligible, decisions, top, posteriors
             )
         if len(eligible) == len(ids):
             # No spec mismatches: decisions were filled in ids order.
@@ -326,13 +336,14 @@ class SessionManager:
         eligible: list[str],
         decisions: dict[str, DowngradeDecision],
         top: AbstractDomain,
+        posteriors: Mapping[AbstractDomain, DomainPair] | None,
     ) -> None:
         """The per-session reference path (also the no-NumPy fallback)."""
         priors = [
             sessions[sid].knowledge if sessions[sid].knowledge is not None else top
             for sid in eligible
         ]
-        pairs = qinfo.approx_batch(priors, mode=self.mode)
+        pairs = qinfo.approx_batch(priors, mode=self.mode, known=posteriors)
         verdicts: dict[AbstractDomain, bool] = {}
         for sid, prior, pair in zip(eligible, priors, pairs):
             session = sessions[sid]
@@ -364,6 +375,7 @@ class SessionManager:
         eligible: list[str],
         decisions: dict[str, DowngradeDecision],
         top: AbstractDomain,
+        posteriors: Mapping[AbstractDomain, DomainPair] | None,
     ) -> None:
         """One fleet tick on the SoA store, differentially identical to
         :meth:`_serve_eligible_scalar`.
@@ -425,6 +437,7 @@ class SessionManager:
                 [plans[k] for k in misses],
                 top,
                 plan_key,
+                posteriors,
             )
 
         if self.check_both:
@@ -481,11 +494,12 @@ class SessionManager:
         plans: list[_GroupPlan],
         top: AbstractDomain,
         plan_key: tuple[str, str, bool],
+        posteriors: Mapping[AbstractDomain, DomainPair] | None,
     ) -> None:
         """Fill (and cache) group plans for priors this query hasn't met."""
         table = store.table
         priors = [table[ref] if ref else top for ref in refs]
-        pairs = qinfo.approx_batch(priors, mode=self.mode)
+        pairs = qinfo.approx_batch(priors, mode=self.mode, known=posteriors)
         if self.check_both:
             auth = batch_pair_verdict(self.policy, pairs)
             ok_true = ok_false = auth

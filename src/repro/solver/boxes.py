@@ -21,6 +21,9 @@ __all__ = [
     "subtract_box",
     "subtract_boxes",
     "disjoint_pieces",
+    "intersect_all",
+    "bounds_contain",
+    "bounds_overlap",
     "union_volume",
     "boxes_are_disjoint",
 ]
@@ -96,10 +99,7 @@ class Box:
     def contains_box(self, other: "Box") -> bool:
         """Whether ``other`` is entirely inside this box."""
         self._check_arity(other)
-        return all(
-            lo <= olo and ohi <= hi
-            for (lo, hi), (olo, ohi) in zip(self.bounds, other.bounds)
-        )
+        return bounds_contain(self.bounds, other.bounds)
 
     def iter_points(self) -> Iterator[tuple[int, ...]]:
         """Enumerate all points (tests / tiny boxes only)."""
@@ -240,3 +240,49 @@ def boxes_are_disjoint(boxes: Sequence[Box]) -> bool:
             if a.intersect(b) is not None:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Unchecked kernels: callers guarantee every operand has the same arity
+# (the powerset domain checks it once, at construction and spec match).
+# ---------------------------------------------------------------------------
+
+
+def bounds_contain(outer: Bounds, inner: Bounds) -> bool:
+    """Whether ``inner`` lies inside ``outer`` (``Box.contains_box``, unchecked)."""
+    for (lo, hi), (ilo, ihi) in zip(outer, inner):
+        if ilo < lo or hi < ihi:
+            return False
+    return True
+
+
+def bounds_overlap(a: Bounds, b: Bounds) -> bool:
+    """Whether two boxes share a point, without building their intersection."""
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        if ahi < blo or bhi < alo:
+            return False
+    return True
+
+
+def intersect_all(left: Sequence[Box], right: Sequence[Box]) -> list[Box]:
+    """Every non-empty ``a.intersect(b)``, ``left``-major, arity unchecked.
+
+    The k1·k2 candidate boxes of a powerset intersection (paper section
+    6.2), equal box for box and in the same order as the nested
+    ``Box.intersect`` loop; clamps of valid boxes are non-empty by the
+    emptiness test, so they skip validation.
+    """
+    out: list[Box] = []
+    for a in left:
+        a_bounds = a.bounds
+        for b in right:
+            bounds = []
+            for (alo, ahi), (blo, bhi) in zip(a_bounds, b.bounds):
+                lo = alo if alo >= blo else blo
+                hi = ahi if ahi <= bhi else bhi
+                if lo > hi:
+                    break
+                bounds.append((lo, hi))
+            else:
+                out.append(Box.trusted(tuple(bounds)))
+    return out

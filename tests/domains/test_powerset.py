@@ -1,5 +1,7 @@
 """Tests for the powerset domain A_P, brute-force checked."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.domains.powerset import PowersetDomain
 from repro.lang.eval import eval_bool
 from repro.lang.secrets import SecretSpec
 from repro.solver.boxes import Box
+from tests.domains import oracle
 from tests.strategies import boxes_within
 
 SPEC = SecretSpec.declare("S", x=(0, 9), y=(0, 9))
@@ -142,3 +145,49 @@ class TestSemantics:
         )
         assert domain.size_disjoint_estimate() == 72
         assert domain.size() == 36
+
+
+class TestFlatPathMatchesTheGeneralAlgebra:
+    """Flat domains skip ``_prune`` and ``subtract_boxes``; the results
+    must still be the reference algebra's include/exclude tuples."""
+
+    @given(oracle.any_powersets(SPEC))
+    @settings(max_examples=150, deadline=None)
+    def test_flatness_is_detected(self, domain):
+        assert domain.is_flat() == oracle.is_flat(domain)
+
+    @given(oracle.any_powersets(SPEC), oracle.any_powersets(SPEC))
+    @settings(max_examples=200, deadline=None)
+    def test_intersect(self, a, b):
+        got = a.intersect(b)
+        oracle.assert_same_tuples(got, oracle.intersect(a, b))
+        if oracle.is_flat(a) and oracle.is_flat(b):
+            assert got.is_flat() and oracle.is_flat(got)
+
+    @given(oracle.flat_powersets(SPEC), oracle.flat_powersets(SPEC), oracle.flat_powersets(SPEC))
+    @settings(max_examples=100, deadline=None)
+    def test_flat_chains_stay_flat(self, a, b, c):
+        got = a.intersect(b).intersect(c)
+        assert got.is_flat() and oracle.is_flat(got)
+        oracle.assert_same_tuples(got, oracle.intersect(oracle.intersect(a, b), c))
+
+    @given(oracle.any_powersets(SPEC), oracle.any_powersets(SPEC))
+    @settings(max_examples=150, deadline=None)
+    def test_pieces_size_and_subset(self, a, b):
+        assert a.pieces() == oracle.pieces(a)
+        assert a.size() == oracle.size(a)
+        assert a.is_empty() == (oracle.size(a) == 0)
+        assert a.is_subset(b) == oracle.is_subset(a, b)
+        assert a.pruned() == PowersetDomain(SPEC, *oracle.prune(a.include, a.exclude))
+
+    @given(oracle.any_powersets(SPEC), oracle.any_powersets(SPEC))
+    @settings(max_examples=100, deadline=None)
+    def test_forced_general_path_agrees(self, a, b):
+        """The kept ``_prune``/``subtract_boxes`` path, forced for every
+        domain, builds the same tuples the fast path does."""
+        fast = a.intersect(b)
+        fresh = [PowersetDomain(SPEC, d.include, d.exclude) for d in (a, b)]
+        with mock.patch.object(PowersetDomain, "is_flat", lambda self: False):
+            general = fresh[0].intersect(fresh[1])
+            assert general.pieces() == oracle.pieces(general)
+        assert (general.include, general.exclude) == (fast.include, fast.exclude)

@@ -21,6 +21,7 @@ from repro.lang.secrets import SecretSpec
 from repro.solver.boxes import Box
 from repro.solver.vectoreval import AVAILABLE
 
+from tests.domains import oracle
 from tests.strategies import boxes_within
 
 pytestmark = pytest.mark.skipif(not AVAILABLE, reason="NumPy not installed")
@@ -81,6 +82,23 @@ class TestPowersetStacking:
             want = prior.intersect(other)
             assert got == want
             assert got.size() == want.size()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        priors=st.lists(oracle.any_powersets(SPEC), min_size=1, max_size=5),
+        other=oracle.any_powersets(SPEC),
+    )
+    def test_intersect_stacked_matches_the_reference_algebra(self, priors, other):
+        """Flat, general and mixed stacks rebuild each prior's result with
+        the reference algebra's exact tuples (the scalar ``intersect``
+        takes the same flat path, so comparing the two proves nothing)."""
+        stacked = powerset_domain.intersect_stacked(priors, other)
+        for prior, got in zip(priors, stacked):
+            oracle.assert_same_tuples(got, oracle.intersect(prior, other))
+            if oracle.is_flat(prior) and oracle.is_flat(other):
+                assert got.is_flat() and oracle.is_flat(got)
+            for lo, hi in (pair for box in got.include for pair in box.bounds):
+                assert type(lo) is int and type(hi) is int
 
     @settings(deadline=None)
     @given(

@@ -572,3 +572,135 @@ def test_batch_admission_telemetry_matches_scalar():
     decisions = batch.preauthorize_batch(users, qinfo)
     assert [decisions[uid].allowed for uid in users] == [True, False, True]
     assert batch.metrics.exposition() == scalar.metrics.exposition()
+
+
+# -- flat powerset bounds vs the general algebra -------------------------------
+
+ZONES = (
+    "abs(x - 6) + abs(y - 6) <= 4",
+    "x <= 9 and y >= 3",
+    "abs(x - 10) + abs(y - 9) <= 5",
+    "x >= 4 and x <= 11",
+)
+
+
+def compiled_zones():
+    """Synthesized powerset artifacts: flat under-ind. sets, over-ind. sets
+    with exclude boxes (so every ``complete`` fold is non-flat)."""
+    from repro.core.plugin import CompileOptions, compile_query
+
+    options = CompileOptions(domain="powerset", k=3, modes=("under", "over"))
+    return [
+        compile_query(f"zone{i}", source, SPEC, options) for i, source in enumerate(ZONES)
+    ]
+
+
+def _epoch_round_trip(workload, user_secrets, floor):
+    """Admission → commit (→ radius-1 epoch), per step; every observable."""
+    import json
+
+    zones = [compiled.qinfo for compiled in compiled_zones()]
+    ledger = PrivacyBudgetLedger(size_above(floor), decay=DecayPolicy(radius=1))
+    users = [f"u{i}" for i in range(len(user_secrets))]
+    log = []
+    for index, epoch in workload:
+        qinfo = zones[index]
+        decisions = ledger.preauthorize_batch(users, qinfo)
+        for uid, secret in zip(users, user_secrets):
+            decision = decisions[uid]
+            log.append((uid, decision))
+            if decision.allowed:
+                ledger.commit(uid, qinfo, qinfo.run(secret))
+        if epoch:
+            ledger.advance_epoch(1)
+        for uid in users:
+            log.append(
+                (
+                    ledger.remaining(uid, SPEC),
+                    ledger.account(uid).refusals,
+                    json.dumps(ledger.export_bound(uid, SPEC)),
+                )
+            )
+    return log
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    workload=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(ZONES) - 1), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+    user_secrets=st.lists(secrets, min_size=1, max_size=5),
+    floor=st.integers(min_value=0, max_value=120),
+)
+def test_flat_path_ledger_matches_the_general_algebra_through_epochs(
+    workload, user_secrets, floor
+):
+    """Verdicts, refusals, ``remaining`` and the exported JSON bytes are
+    the same when every domain is forced onto the general
+    ``_prune``/``subtract_boxes`` path.  Steps chain flat folds; a
+    radius-1 epoch between steps makes the bounds non-flat, so the next
+    admission runs the general path against flat ind. sets."""
+    from unittest import mock
+
+    fast = _epoch_round_trip(workload, user_secrets, floor)
+    with mock.patch.object(PowersetDomain, "is_flat", lambda self: False):
+        reference = _epoch_round_trip(workload, user_secrets, floor)
+    assert fast == reference
+
+
+def test_one_intersection_per_prior_and_indset_per_round(monkeypatch):
+    """Across admission, the session pass and commit, each distinct
+    (prior, ind. set) pair is intersected exactly once per round: the
+    session reuses admission's posteriors and commit folds nothing twice."""
+    from collections import Counter
+
+    import repro.domains.powerset as powerset_module
+    from repro.core.plugin import QueryRegistry
+    from repro.server.core import ServingCore
+    from repro.service.session import SessionManager
+
+    zones = compiled_zones()
+    registry = QueryRegistry()
+    for compiled in zones:
+        registry.register(compiled)
+    points = [(0, 0), (6, 6), (9, 3), (15, 15), (10, 9), (4, 12)]
+    ledger = PrivacyBudgetLedger(size_above(0))
+    top = PowersetDomain.top(SPEC)
+    for vectorized in (False, True):
+        manager = SessionManager(registry, size_above(0), vectorized=vectorized)
+        core = ServingCore(manager, ledger, users={})
+        sessions = []
+        for i, point in enumerate(points):
+            sid = f"{vectorized}-s{i}"
+            manager.open_session(sid, (SPEC, point))
+            core.users[sid] = f"{vectorized}-u{i}"
+            sessions.append(sid)
+
+        calls: Counter = Counter()
+        real_intersect = PowersetDomain.intersect
+        real_stacked = powerset_module.intersect_stacked
+
+        def counted_intersect(self, other):
+            calls[(self, other)] += 1
+            return real_intersect(self, other)
+
+        def counted_stacked(priors, other):
+            calls.update((prior, other) for prior in priors)
+            return real_stacked(priors, other)
+
+        monkeypatch.setattr(PowersetDomain, "intersect", counted_intersect)
+        monkeypatch.setattr(powerset_module, "intersect_stacked", counted_stacked)
+        for compiled in zones:
+            qinfo = compiled.qinfo
+            calls.clear()
+            accounts = [ledger.account(core.users[sid]) for sid in sessions]
+            sound = {account.sound.get(SPEC.name, top) for account in accounts}
+            complete = {account.complete.get(SPEC.name, top) for account in accounts}
+            core.serve_batch(qinfo.name, sessions)
+            assert max(calls.values()) == 1, calls.most_common(1)
+            admitted = {(prior, ind) for prior in sound for ind in qinfo.under_indset}
+            folded = {(prior, ind) for prior in complete for ind in qinfo.over_indset}
+            assert admitted <= set(calls) <= admitted | folded
+        monkeypatch.undo()
