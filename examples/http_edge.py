@@ -7,7 +7,8 @@ the full loop the journal was built for:
 
 1. a journaled gateway behind the stdlib :class:`HttpEdge` — every
    state-changing request is appended to the write-ahead journal before
-   it executes;
+   it executes, and every request of the walkthrough rides one
+   persistent HTTP/1.1 connection;
 2. a downgrade sent with an ``Idempotency-Key``, then *re-sent* with the
    same key — the duplicate is answered byte-identically from the
    journal and the privacy budget is not charged twice;
@@ -24,9 +25,8 @@ the full loop the journal was built for:
 Run:  python examples/http_edge.py
 """
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 
 from repro import DeclassificationServer, SecretSpec, ServerConfig, size_above
 from repro.core.plugin import CompileOptions
@@ -42,30 +42,26 @@ SPEC = SecretSpec.declare("EdgeLoc", x=(0, 199), y=(0, 199))
 QUERIES = [("west", "x <= 99"), ("south", "y <= 99")]
 
 
-def call(address, method, path, body=None, key=None):
-    """One JSON request against the edge; returns (status, decoded body)."""
-    host, port = address
-    data = None if body is None else json.dumps(body).encode()
-    request = urllib.request.Request(
-        f"http://{host}:{port}{path}", data=data, method=method
-    )
-    request.add_header("Content-Type", "application/json")
+def request(conn, method, path, body=None, key=None):
+    """One request on the persistent connection; returns (status, raw body)."""
+    headers = {"Content-Type": "application/json"}
     if key is not None:
-        request.add_header("Idempotency-Key", key)
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.load(response)
-    except urllib.error.HTTPError as error:
-        return error.code, json.load(error)
+        headers["Idempotency-Key"] = key
+    data = None if body is None else json.dumps(body).encode()
+    conn.request(method, path, body=data, headers=headers)
+    response = conn.getresponse()
+    return response.status, response.read()
 
 
-def scrape(address, path):
+def call(conn, method, path, body=None, key=None):
+    """One JSON request against the edge; returns (status, decoded body)."""
+    status, raw = request(conn, method, path, body, key)
+    return status, json.loads(raw)
+
+
+def scrape(conn, path):
     """One plain-text GET (``/metrics`` serves text, not JSON)."""
-    host, port = address
-    with urllib.request.urlopen(
-        f"http://{host}:{port}{path}", timeout=30
-    ) as response:
-        return response.read().decode("utf-8")
+    return request(conn, "GET", path)[1].decode("utf-8")
 
 
 def main() -> None:
@@ -80,18 +76,20 @@ def main() -> None:
     access_lines: list[str] = []
 
     with HttpEdge(server, access_log=access_lines.append) as edge:
+        conn = http.client.HTTPConnection(*edge.address, timeout=30)
         for name, text in QUERIES:
             status, receipt = call(
-                edge.address,
+                conn,
                 "POST",
                 "/v1/queries",
                 {"name": name, "query": text, "secret": spec_to_json(SPEC)},
             )
             assert status == 200 and receipt["verified"], receipt
             print(f"compiled {name!r:<8} verified={receipt['verified']}")
+        sock = conn.sock  # HTTP/1.1 keep-alive: every later request reuses it
 
         status, opened = call(
-            edge.address,
+            conn,
             "POST",
             "/v1/sessions",
             {
@@ -104,7 +102,7 @@ def main() -> None:
         print(f"\nopened session {opened['session_id']!r} for alice")
 
         status, first = call(
-            edge.address,
+            conn,
             "POST",
             "/v1/downgrades",
             {"session_id": "conn-1", "query_name": "west"},
@@ -118,7 +116,7 @@ def main() -> None:
         # The client times out and retries with the same Idempotency-Key.
         # The journal answers; nothing re-executes, nothing is re-charged.
         status, retried = call(
-            edge.address,
+            conn,
             "POST",
             "/v1/downgrades",
             {"session_id": "conn-1", "query_name": "west"},
@@ -135,7 +133,7 @@ def main() -> None:
         # but folded onto "west" it would corner alice below the floor.
         # The refusal is a journaled *decision* — HTTP 200, not an error.
         status, refused = call(
-            edge.address,
+            conn,
             "POST",
             "/v1/downgrades",
             {"session_id": "conn-1", "query_name": "south"},
@@ -145,7 +143,7 @@ def main() -> None:
         assert "budget exhausted" in refused["reason"]
         print(f"downgrade south: refused ({refused['reason']})")
 
-        status, audit = call(edge.address, "GET", "/v1/audit")
+        status, audit = call(conn, "GET", "/v1/audit")
         assert status == 200
         print(f"audit over HTTP: {audit['journal']['entries']} journal "
               f"entries, {audit['journal']['duplicates']} duplicates")
@@ -153,7 +151,7 @@ def main() -> None:
         # Scrape the telemetry the run just produced.  /metrics is the
         # Prometheus exposition; /statusz the structured twin; the
         # access log already captured one JSON line per request above.
-        exposition = scrape(edge.address, "/metrics")
+        exposition = scrape(conn, "/metrics")
         refusal_lines = [
             line for line in exposition.splitlines()
             if line.startswith("anosy_ledger_refusals_total")
@@ -161,7 +159,7 @@ def main() -> None:
         assert refusal_lines, exposition
         print("\n/metrics (refusals):", *refusal_lines, sep="\n  ")
 
-        status, statusz = call(edge.address, "GET", "/statusz")
+        status, statusz = call(conn, "GET", "/statusz")
         assert status == 200 and statusz["journal"]["pending"] == 0
         print(f"/statusz: {statusz['stats']['downgrades_served']} served, "
               f"{statusz['journal']['duplicates']} journal duplicates, "
@@ -176,6 +174,10 @@ def main() -> None:
         print(f"access log: {refused_log['method']} {refused_log['route']} "
               f"{refused_log['status']} {refused_log['ms']}ms "
               f"trace={refused_log['trace_id']}")
+
+        assert sock is not None and conn.sock is sock
+        print("keep-alive: every request above rode one connection")
+        conn.close()
 
     # The edge is down; the journal is the record.  Replay it against a
     # fresh twin and require bit-identical decisions — including the

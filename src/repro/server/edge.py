@@ -29,6 +29,15 @@ anything else                             ``500``
 Every error body is structured — ``{"error": ..., "detail": ...}`` —
 so retrying clients never parse prose.
 
+Connections are persistent (HTTP/1.1 keep-alive, ``TCP_NODELAY``), so a
+client asking one question after another pays one connect, not one per
+request.  Framing is strict because a byte left unread would be parsed
+as the next request: every request's body is read in full before
+routing (404s and errors included); a ``Content-Length`` that is not a
+non-negative integer gets ``400`` and ``Transfer-Encoding`` gets
+``411``, and both close the connection.  Routes match the path without
+its query string.  Idle connections close after the edge's ``timeout``.
+
 Routes (all JSON)::
 
     POST   /v1/queries     {name, query, secret, options?}  -> compile receipt
@@ -58,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import sys
 import threading
 import time
@@ -95,6 +105,28 @@ _REQUEST_SECONDS = LazySeries(
     labels=("route",),
     channel="timing",
 )
+
+
+def _route_path(path: str) -> str:
+    """A request path without its query string or trailing slash."""
+    return path.split("?", 1)[0].rstrip("/")
+
+
+def _json_object(raw: bytes) -> dict[str, Any]:
+    """Decode a request body as a JSON object (empty body = ``{}``)."""
+    if not raw:
+        return {}
+    try:
+        body = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise _EdgeError(
+            400, {"error": "bad_request", "detail": f"invalid JSON: {exc}"}
+        ) from exc
+    if not isinstance(body, dict):
+        raise _EdgeError(
+            400, {"error": "bad_request", "detail": "body must be a JSON object"}
+        )
+    return body
 
 
 def _require(body: dict[str, Any], name: str) -> Any:
@@ -136,14 +168,60 @@ def _to_edge_error(exc: Exception) -> _EdgeError:
     return _EdgeError(500, {"error": "internal", "detail": str(exc)})
 
 
+class _EdgeHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that can close its live connections.
+
+    Each accepted connection is registered with its handler thread
+    before that thread starts, so :meth:`close_connections` never
+    misses one that is still being set up.
+    """
+
+    def __init__(self, address: tuple[str, int], handler: type):
+        super().__init__(address, handler)
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """End every live connection and join its handler thread.
+
+        Shutting down only the read side lets a request in flight still
+        write its response; the handler then reads end-of-stream where
+        the next request would be, and exits.
+        """
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _thread in live:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
+        for _request, thread in live:
+            thread.join(timeout)
+
+
 class HttpEdge:
     """Serve one gateway over HTTP; owns the gateway's event loop.
 
     The edge starts two kinds of threads: one dedicated loop thread
-    running the gateway's asyncio world (ticker included), and the
-    threading HTTP server's per-connection workers.  ``port=0`` binds an
-    ephemeral port — read :attr:`address` after :meth:`start`.  Use as a
-    context manager in tests::
+    running the gateway's asyncio world, and the threading HTTP
+    server's workers, one per persistent connection.  ``port=0`` binds
+    an ephemeral port — read :attr:`address` after :meth:`start`.  Use
+    as a context manager in tests::
 
         with HttpEdge(server) as edge:
             host, port = edge.address
@@ -175,8 +253,7 @@ class HttpEdge:
             self._access_log = None
         self._loop = asyncio.new_event_loop()
         self._loop_thread: threading.Thread | None = None
-        self._httpd = ThreadingHTTPServer((host, port), self._handler_class())
-        self._httpd.daemon_threads = True
+        self._httpd = _EdgeHTTPServer((host, port), self._handler_class())
         self._http_thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -198,11 +275,13 @@ class HttpEdge:
         self._http_thread.start()
 
     def stop(self) -> None:
-        """Stop accepting, flush the gateway, and join both threads."""
+        """Stop accepting, close live connections, flush the gateway, and
+        join every thread.  Requests in flight are answered first."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._http_thread is not None:
             self._http_thread.join(self.timeout)
+        self._httpd.close_connections(self.timeout)
         if self._loop_thread is not None:
             self._submit(self.server.stop())
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -242,6 +321,12 @@ class HttpEdge:
         edge = self
 
         class Handler(BaseHTTPRequestHandler):
+            # Keep-alive, and no Nagle stall between headers and body.
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+            # Idle keep-alive connections close after this long.
+            timeout = edge.timeout
+
             # Tests hammer the edge; per-request stderr lines are noise.
             def log_message(self, *args: Any) -> None:
                 pass
@@ -259,11 +344,15 @@ class HttpEdge:
 
     def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
         started = time.perf_counter()
+        raw = None
         try:
-            status, body, headers = self._route(handler, method)
+            raw = self._read_body(handler)
+            status, body, headers = self._route(handler, method, raw)
         except _EdgeError as exc:
             status, body, headers = exc.status, exc.body, exc.headers
         except Exception as exc:  # noqa: BLE001 - mapped, never propagated
+            if raw is None:
+                raise  # the body never arrived: the connection is done
             err = _to_edge_error(exc)
             status, body, headers = err.status, err.body, err.headers
         if isinstance(body, str):
@@ -322,7 +411,7 @@ class HttpEdge:
     @staticmethod
     def _route_label(path: str) -> str:
         """Collapse a request path to a bounded-cardinality route label."""
-        path = path.split("?", 1)[0].rstrip("/")
+        path = _route_path(path)
         if path.startswith("/v1/sessions/"):
             return "/v1/sessions/{id}"
         known = {
@@ -356,9 +445,9 @@ class HttpEdge:
         }
 
     def _route(
-        self, handler: BaseHTTPRequestHandler, method: str
+        self, handler: BaseHTTPRequestHandler, method: str, raw: bytes
     ) -> tuple[int, dict[str, Any] | str, dict[str, str]]:
-        path = handler.path.rstrip("/")
+        path = _route_path(handler.path)
         key = handler.headers.get("Idempotency-Key")
         if method == "GET" and path == "/v1/healthz":
             return 200, self._call(self._healthz_body), {}
@@ -369,7 +458,7 @@ class HttpEdge:
         if method == "GET" and path == "/v1/audit":
             return 200, self._call(self.server.audit_summary), {}
         if method == "POST" and path == "/v1/queries":
-            body = self._read_json(handler)
+            body = _json_object(raw)
             request = CompileRequest(
                 name=str(_require(body, "name")),
                 query=str(_require(body, "query")),
@@ -385,7 +474,7 @@ class HttpEdge:
             )
             return 200, receipt.to_json(), {}
         if method == "POST" and path == "/v1/sessions":
-            body = self._read_json(handler)
+            body = _json_object(raw)
             sealed = _require(body, "secret")
             secret = ProtectedSecret.seal(
                 spec_from_json(_require(sealed, "spec")),
@@ -422,7 +511,7 @@ class HttpEdge:
                 {},
             )
         if method == "POST" and path == "/v1/downgrades":
-            body = self._read_json(handler)
+            body = _json_object(raw)
             result = self._submit(
                 self.server.downgrade(
                     str(_require(body, "session_id")),
@@ -432,7 +521,7 @@ class HttpEdge:
             )
             return 200, downgrade_result_to_json(result), {}
         if method == "POST" and path == "/v1/epochs":
-            body = self._read_json(handler)
+            body = _json_object(raw)
             epoch = self._call(
                 lambda: self.server.advance_epoch(
                     int(body.get("epochs", 1)), idempotency_key=key
@@ -444,19 +533,33 @@ class HttpEdge:
         )
 
     @staticmethod
-    def _read_json(handler: BaseHTTPRequestHandler) -> dict[str, Any]:
-        length = int(handler.headers.get("Content-Length") or 0)
-        raw = handler.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as exc:
+    def _read_body(handler: BaseHTTPRequestHandler) -> bytes:
+        """Read the request body in full, before routing.
+
+        On a persistent connection an unread byte would be parsed as
+        the next request, so a body whose length cannot be trusted is
+        refused and its connection closed.
+        """
+        close = {"Connection": "close"}
+        if handler.headers.get("Transfer-Encoding") is not None:
             raise _EdgeError(
-                400, {"error": "bad_request", "detail": f"invalid JSON: {exc}"}
-            ) from exc
-        if not isinstance(body, dict):
-            raise _EdgeError(
-                400, {"error": "bad_request", "detail": "body must be a JSON object"}
+                411,
+                {"error": "length_required", "detail": "send Content-Length"},
+                close,
             )
-        return body
+        lengths = set(handler.headers.get_all("Content-Length") or ["0"])
+        value = lengths.pop().strip()
+        if lengths or not (value.isascii() and value.isdigit()):
+            raise _EdgeError(
+                400,
+                {"error": "bad_request", "detail": "invalid Content-Length"},
+                close,
+            )
+        length = int(value)
+        raw = handler.rfile.read(length) if length else b""
+        if len(raw) != length:
+            raise _EdgeError(
+                400, {"error": "bad_request", "detail": "truncated body"}, close
+            )
+        return raw
+

@@ -25,7 +25,9 @@ Two amortization mechanisms live here, both pure event-loop state:
   *canonical* problem (same cache key) collapse onto one shard job; every
   waiter registers its own name against the one artifact;
 * **tick batching** — downgrade requests are queued, and each tick
-  serves all requests for one query through a single
+  (arrival-driven: the first queued request schedules a flush, and
+  requests arriving while it runs ride the next) serves all requests
+  for one query through a single
   :meth:`~repro.server.core.ServingCore.serve_batch` pass, so a thousand
   concurrent askers of one query cost one ind.-set fetch and one
   memoized intersection per distinct prior.
@@ -195,8 +197,6 @@ class ServerConfig:
     max_pending_compiles: int = 8
     #: Total queued downgrade requests before the gateway sheds.
     max_queued_downgrades: int = 10_000
-    #: Seconds between background ticks when :meth:`start`-ed.
-    tick_interval: float = 0.002
     #: Run compiles synchronously in-process instead of shard processes.
     inline_compiles: bool = False
     #: Serving shards (single-worker processes, routed by user id).
@@ -611,8 +611,10 @@ class DeclassificationServer:
         #: Serializes whole flushes: ledger commits therefore always run
         #: under the same admission state their round was checked in.
         self._flush_lock = asyncio.Lock()
+        #: The scheduled flush that will serve the next arrivals.
         self._flush_task: asyncio.Task | None = None
-        self._ticker: asyncio.Task | None = None
+        #: Set while :meth:`stop` drains; its final flush serves requeues.
+        self._stopping = False
 
     # -- conveniences --------------------------------------------------------
     @property
@@ -1126,10 +1128,20 @@ class DeclassificationServer:
                 self._assign_trace(pending, query_name, trace_id)
         self._queue.setdefault(query_name, []).append(pending)
         self._queued += 1
-        ticking = self._ticker is not None and not self._ticker.done()
-        if not ticking and self._flush_task is None:
-            self._flush_task = loop.create_task(self.flush())
+        self._schedule_flush()
         return pending
+
+    def _schedule_flush(self) -> None:
+        """Make sure a flush will serve what is queued (runs on the loop).
+
+        Ticks are arrival-driven: the first arrival schedules a flush
+        task, and arrivals while it waits or runs ride the same or the
+        next one, so the flush schedule is a function of arrival times
+        alone.  A done task (a flush cancelled before it took the lock)
+        is replaced, never waited on.
+        """
+        if self._flush_task is None or self._flush_task.done():
+            self._flush_task = asyncio.get_running_loop().create_task(self.flush())
 
     def _journal_begin_downgrades(
         self, queue: dict[str, list[_PendingDowngrade]]
@@ -1221,7 +1233,8 @@ class DeclassificationServer:
         write-ahead ``begin_many``, and resolved by :meth:`_resolve`.
         """
         async with self._flush_lock:
-            self._flush_task = None
+            if self._flush_task is asyncio.current_task():
+                self._flush_task = None
             queue, self._queue = self._queue, {}
             queued_now = sum(len(waiters) for waiters in queue.values())
             self._queued -= queued_now
@@ -1277,9 +1290,10 @@ class DeclassificationServer:
         ``batch`` audit event for each query group whose last job this
         is, and resolve its waiters.  A job that raises fails only its
         own waiters; later jobs are still served.  On cancellation
-        (``stop()`` mid-flush) started jobs are cancelled with their
-        waiters, and waiters of jobs that never started are requeued for
-        the final flush.
+        started jobs are cancelled with their waiters, and waiters of
+        jobs that never started are requeued, with a follow-up flush
+        scheduled for them (outside :meth:`stop`, whose final flush
+        serves them).
         """
         tasks: list[asyncio.Future | None] = [
             None if shard is None else asyncio.ensure_future(
@@ -1328,6 +1342,8 @@ class DeclassificationServer:
                         elif remaining:
                             self._queue.setdefault(query_name, []).extend(remaining)
                             self._queued += len(remaining)
+                if self._queued and not self._stopping:
+                    self._schedule_flush()
                 for query_name in list(tally):
                     audit_batch(query_name)
                 raise
@@ -1909,33 +1925,19 @@ class DeclassificationServer:
         self.stats.journal_recovered += reapplied
         return replace(rebuilt, reapplied=reapplied)
 
-    # -- background ticking ----------------------------------------------------
+    # -- start / stop ----------------------------------------------------------
     async def start(self) -> None:
-        """Run a background ticker flushing every ``tick_interval``."""
-        if self._ticker is not None:
-            return
-
-        async def tick_forever() -> None:
-            """Flush on a fixed cadence until cancelled by :meth:`stop`."""
-            try:
-                while True:
-                    await asyncio.sleep(self.config.tick_interval)
-                    await self.flush()
-            except asyncio.CancelledError:
-                raise
-
-        self._ticker = asyncio.get_running_loop().create_task(tick_forever())
+        """Begin serving.  Flushes are arrival-driven (the first queued
+        downgrade schedules one), so there is no background task to
+        start; kept so callers pair :meth:`start` with :meth:`stop`."""
 
     async def stop(self) -> None:
-        """Cancel the ticker and serve whatever is still queued."""
-        if self._ticker is not None:
-            self._ticker.cancel()
-            try:
-                await self._ticker
-            except asyncio.CancelledError:
-                pass
-            self._ticker = None
-        await self.flush()
+        """Serve whatever is still queued: the final flush drops nothing."""
+        self._stopping = True
+        try:
+            await self.flush()
+        finally:
+            self._stopping = False
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self) -> None:

@@ -1,6 +1,9 @@
 """The HTTP edge: routes, error mapping, and idempotency passthrough."""
 
+import http.client
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -212,3 +215,136 @@ def test_shard_failures_map_to_502_with_typed_payload(exc):
 def test_unexpected_exception_maps_to_500():
     error = _to_edge_error(RuntimeError("boom"))
     assert error.status == 500 and error.body["error"] == "internal"
+
+
+# ---------------------------------------------------------------------------
+# Persistent connections: framing, reuse, shutdown
+# ---------------------------------------------------------------------------
+
+
+def raw_exchange(sock, request: bytes) -> tuple[int, dict, bytes]:
+    """Send one raw request; read one response off the socket's stream."""
+    sock.sendall(request)
+    reader = sock.makefile("rb")
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return status, headers, body
+
+
+def open_socket(edge):
+    return socket.create_connection(edge.address, timeout=5)
+
+
+def test_unknown_route_body_is_consumed_before_the_next_request(edge):
+    body = b'{"padding": "GET /v1/healthz HTTP/1.1"}'
+    with open_socket(edge) as sock:
+        status, _, _ = raw_exchange(
+            sock,
+            b"POST /v1/nope HTTP/1.1\r\nHost: edge\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+        )
+        assert status == 404
+        status, headers, payload = raw_exchange(
+            sock, b"GET /v1/healthz HTTP/1.1\r\nHost: edge\r\n\r\n"
+        )
+    assert status == 200 and headers.get("connection") != "close"
+    assert json.loads(payload)["status"] == "ok"
+
+
+@pytest.mark.parametrize("length", [b"-1", b"abc", b"+5"])
+def test_invalid_content_length_is_400_and_closes(edge, length):
+    with open_socket(edge) as sock:
+        status, headers, payload = raw_exchange(
+            sock,
+            b"POST /v1/downgrades HTTP/1.1\r\nHost: edge\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n",
+        )
+        assert status == 400 and headers["connection"] == "close"
+        assert json.loads(payload)["error"] == "bad_request"
+        assert sock.recv(1) == b""  # the edge hung up
+
+
+def test_transfer_encoding_is_411_and_closes(edge):
+    with open_socket(edge) as sock:
+        status, headers, payload = raw_exchange(
+            sock,
+            b"POST /v1/downgrades HTTP/1.1\r\nHost: edge\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        )
+        assert status == 411 and headers["connection"] == "close"
+        assert json.loads(payload)["error"] == "length_required"
+        assert sock.recv(1) == b""
+
+
+def test_routes_ignore_the_query_string(edge):
+    status, body, _ = call(edge, "GET", "/v1/healthz?probe=1")
+    assert status == 200 and body["status"] == "ok"
+
+
+def test_requests_reuse_one_connection(edge):
+    conn = http.client.HTTPConnection(*edge.address, timeout=30)
+    try:
+        conn.request("GET", "/v1/healthz")
+        assert conn.getresponse().read()
+        first = conn.sock
+        conn.request("GET", "/v1/healthz")
+        response = conn.getresponse()
+        assert response.status == 200 and json.loads(response.read())
+        assert first is not None and conn.sock is first
+    finally:
+        conn.close()
+
+
+def test_sequential_requests_on_one_connection_do_not_stall(edge):
+    # A Nagle stall (headers and body in two writes, the second held
+    # back for the client's delayed ACK) costs ~40 ms a request.
+    conn = http.client.HTTPConnection(*edge.address, timeout=30)
+    try:
+        started = time.perf_counter()
+        for _ in range(50):
+            conn.request("GET", "/v1/healthz")
+            assert conn.getresponse().read()
+        assert time.perf_counter() - started < 1.0
+    finally:
+        conn.close()
+
+
+def small_edge(**kwargs) -> HttpEdge:
+    server = DeclassificationServer(
+        size_above(100), options=OPTIONS, config=ServerConfig(inline_compiles=True)
+    )
+    return HttpEdge(server, **kwargs)
+
+
+def test_stop_closes_idle_connections_and_joins_their_threads():
+    edge = small_edge()
+    edge.start()
+    sock = open_socket(edge)
+    try:
+        status, _, _ = raw_exchange(sock, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+        assert status == 200
+        handlers = list(edge._httpd._live.values())
+        assert len(handlers) == 1
+        started = time.perf_counter()
+        edge.stop()
+        assert time.perf_counter() - started < 2.0
+        assert not any(thread.is_alive() for thread in handlers)
+        assert sock.recv(1) == b""
+    finally:
+        sock.close()
+        edge.server.shutdown()
+
+
+def test_idle_connections_time_out_after_the_edge_timeout():
+    with small_edge(timeout=0.5) as edge:
+        with open_socket(edge) as sock:
+            status, _, _ = raw_exchange(sock, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            assert status == 200
+            started = time.perf_counter()
+            assert sock.recv(1) == b""
+            assert time.perf_counter() - started < 2.0
+    edge.server.shutdown()

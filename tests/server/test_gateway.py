@@ -181,12 +181,12 @@ def test_downgrade_queue_load_shedding():
     async def scenario():
         server = make_server(
             config=ServerConfig(
-                inline_compiles=True, max_queued_downgrades=2, tick_interval=60.0
+                inline_compiles=True, max_queued_downgrades=2
             )
         )
         await server.register_query(CompileRequest("q", "x <= 50", SPEC))
         server.open_session("u", (SPEC, (10, 10)))
-        await server.start()  # slow ticker: requests stay queued
+        await server.start()  # the first enqueue's flush runs after we resume
         t1 = asyncio.ensure_future(server.downgrade("u", "q"))
         t2 = asyncio.ensure_future(server.downgrade("u", "q"))
         await asyncio.sleep(0)  # let both enqueue
@@ -323,6 +323,68 @@ def test_cancelled_flush_still_counts_the_groups_it_served(monkeypatch):
         assert server.stats.downgrades_served == 1
         batches = [e.data for e in server.service.audit if e.kind == "batch"]
         assert batches == [{"query_name": "a", "sessions": 1, "authorized": 1}]
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_flush_cancelled_before_the_lock_does_not_stall_later_downgrades():
+    """A flush task cancelled while it waits for the flush lock is done;
+    the next arrival must schedule a fresh one, not wait on the corpse."""
+
+    async def scenario():
+        server = make_server()
+        await server.register_query(CompileRequest("q", "x <= 50", SPEC))
+        server.open_session("u", (SPEC, (10, 10)))
+        await server._flush_lock.acquire()
+        first = asyncio.ensure_future(server.downgrade("u", "q"))
+        await asyncio.sleep(0)  # first enqueues and schedules a flush
+        await asyncio.sleep(0)  # the flush now waits on the lock
+        stuck = server._flush_task
+        stuck.cancel()
+        server._flush_lock.release()
+        with pytest.raises(asyncio.CancelledError):
+            await stuck
+        later = await asyncio.wait_for(server.downgrade("u", "q"), timeout=5)
+        assert later.authorized
+        assert (await asyncio.wait_for(first, timeout=5)).authorized
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_cancelled_flush_schedules_a_follow_up_for_requeued_waiters(monkeypatch):
+    """Waiters of jobs a cancelled flush never started are requeued and
+    served by a follow-up flush, with no new arrival to trigger one."""
+
+    async def scenario():
+        server = make_server()
+        for name, text in (("a", "x <= 99"), ("b", "y <= 99")):
+            await server.register_query(CompileRequest(name, text, SPEC))
+        server.open_session("u", (SPEC, (10, 10)))
+        entered, release = threading.Event(), threading.Event()
+        real_serve_batch = server.core.serve_batch
+
+        def stalled(query_name, session_ids, traces=None):
+            if query_name == "a":
+                entered.set()
+                release.wait(timeout=10)
+            return real_serve_batch(query_name, session_ids, traces)
+
+        monkeypatch.setattr(server.core, "serve_batch", stalled)
+        first = asyncio.ensure_future(server.downgrade("u", "a"))
+        second = asyncio.ensure_future(server.downgrade("u", "b"))
+        await asyncio.sleep(0)
+        flush = server._flush_task
+        while not entered.is_set():  # group a runs; group b has not started
+            await asyncio.sleep(0.01)
+        flush.cancel()
+        release.set()
+        with pytest.raises(asyncio.CancelledError):
+            await flush
+        assert first.cancelled()
+        served = await asyncio.wait_for(second, timeout=5)
+        assert served.authorized and served.query_name == "b"
         server.shutdown()
 
     asyncio.run(scenario())
