@@ -32,8 +32,9 @@ from repro import DeclassificationServer, SecretSpec, ServerConfig, size_above
 from repro.core.plugin import CompileOptions
 from repro.lang.canonical import spec_to_json
 from repro.server.edge import HttpEdge
-from repro.server.journal import MemoryJournalBackend, RequestJournal
+from repro.server.journal import RequestJournal
 from repro.server.replay import replay_journal
+from repro.server.store import SQLiteStore
 
 SPEC = SecretSpec.declare("EdgeLoc", x=(0, 199), y=(0, 199))
 
@@ -65,7 +66,8 @@ def scrape(conn, path):
 
 
 def main() -> None:
-    journal = RequestJournal(MemoryJournalBackend())
+    # No durable store needed here: an in-memory SQLite journal.
+    journal = RequestJournal(SQLiteStore(":memory:"))
     server = DeclassificationServer(
         size_above(100),
         budget_floor=size_above(15_000),

@@ -79,7 +79,6 @@ from repro.server.journal import (
     JOURNAL_FORMAT_VERSION,
     JournalBackend,
     JournalEntry,
-    MemoryJournalBackend,
     RequestJournal,
     chain_digest,
     live_state,
@@ -141,7 +140,6 @@ __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "JournalBackend",
     "JournalEntry",
-    "MemoryJournalBackend",
     "RequestJournal",
     "chain_digest",
     "live_state",

@@ -79,6 +79,9 @@ Duplicate deliveries short-circuit to recorded responses, and recovery
 (:class:`~repro.server.replay.ReplaySession`) share one generation
 rebuild and one entry executor (:meth:`rebuild_generation`,
 :meth:`apply_entry`), so the acknowledged history replays bit for bit.
+A journaled server's durable ledger lives in the journal's own store, so
+every ack lands in one transaction with the bounds it justifies;
+construction refuses a ledger store other than ``journal.backend``.
 
 The same durability split powers *mid-flight* recovery (see
 :mod:`repro.server.supervise` and DESIGN.md §10): every shard job runs
@@ -513,6 +516,18 @@ class DeclassificationServer:
         # A store that also speaks LedgerBackend (e.g. SQLiteStore) makes
         # the ledger durable; a plain artifact backend leaves it in-memory.
         ledger_store = store if hasattr(store, "put_ledger_bound") else None
+        if (
+            journal is not None
+            and budget_floor is not None
+            and ledger_store is not None
+            and ledger_store is not journal.backend
+        ):
+            # Exactly-once needs each bound in its ack's transaction
+            # (DESIGN.md §12): refuse before anything is written.
+            raise ValueError(
+                "a journaled server's durable ledger must live in the "
+                "journal's store: pass store=journal.backend"
+            )
         self.ledger = (
             None
             if budget_floor is None
@@ -586,20 +601,11 @@ class DeclassificationServer:
         #: duplicate delivery arriving before the first resolves awaits
         #: the same future instead of double-enqueueing.
         self._inflight_keys: dict[str, asyncio.Future] = {}
-        #: True when the ledger's durable mirror and the journal live in
-        #: one store that can land bound puts and acks atomically — the
-        #: exactly-once configuration.  The ledger then buffers its
-        #: mirror writes and every ack drains them into its own
-        #: transaction (:meth:`_drained_bounds`).
-        self._atomic_ledger = (
-            journal is not None
-            and self.ledger is not None
-            and self.ledger.store is not None
-            and self.ledger.store is getattr(journal, "backend", None)
-            and hasattr(journal.backend, "journal_ack_with_bounds")
-        )
         if journal is not None:
-            if self._atomic_ledger:
+            if self.ledger is not None:
+                # The durable mirror shares the journal's store, so every
+                # ack drains the buffered bounds into its own transaction
+                # (:meth:`_drained_bounds`).
                 self.ledger.buffer_writes()
             self._journal_configure()
             self.service.audit.spill = journal.spill_audit
@@ -1214,16 +1220,10 @@ class DeclassificationServer:
             bounds=self._drained_bounds(),
         )
 
-    def _drained_bounds(self) -> list[tuple[str, str, dict[str, Any]]] | None:
-        """Buffered ledger-mirror writes to land atomically with an ack.
-
-        ``None`` outside the atomic configuration (separate stores, no
-        ledger, or an unjournaled server), where the ledger writes
-        through on its own and acks carry nothing.
-        """
-        if not self._atomic_ledger:
-            return None
-        return self.ledger.drain_writes()
+    def _drained_bounds(self) -> list[tuple[str, str, dict[str, Any]]]:
+        """Buffered ledger-mirror writes to land atomically with an ack
+        (``[]`` without a durable ledger)."""
+        return [] if self.ledger is None else self.ledger.drain_writes()
 
     async def flush(self) -> int:
         """Serve everything queued; returns how many waiters were served.
@@ -1944,13 +1944,12 @@ class DeclassificationServer:
         """Tear down the shard processes.  The store (if any) is the
         caller's to close; compiled artifacts and ledger bounds are
         already persisted."""
-        if self._atomic_ledger:
-            # Straggler mirror writes whose batch never acked (a failed
-            # flush, an injected fault): persist them now so a clean
-            # shutdown loses nothing.  Crash-path stragglers are covered
-            # by recovery re-executing the unacked suffix instead.
-            for user_id, spec_name, payload in self.ledger.drain_writes():
-                self.ledger.store.put_ledger_bound(user_id, spec_name, payload)
+        # Straggler mirror writes whose batch never acked (a failed
+        # flush, an injected fault): persist them now so a clean
+        # shutdown loses nothing.  Crash-path stragglers are covered by
+        # recovery re-executing the unacked suffix instead.
+        for user_id, spec_name, payload in self._drained_bounds():
+            self.ledger.store.put_ledger_bound(user_id, spec_name, payload)
         self.pool.shutdown()
         if self.serving_pool is not None:
             self.serving_pool.shutdown()

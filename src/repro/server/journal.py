@@ -26,9 +26,10 @@ outcome after the durable-mirror fold.  Three properties fall out:
 
 The storage lives in :class:`~repro.server.store.SQLiteStore`'s
 ``request_journal`` table (independently format-versioned, like
-``ledger_bounds``); :class:`MemoryJournalBackend` provides the same
-contract for store-less tests.  :class:`RequestJournal` is the typed
-wrapper both the gateway and the replay tool speak.
+``ledger_bounds``); a journal that needs no durable store is an
+``SQLiteStore(":memory:")``, which keeps the whole contract for one
+process lifetime.  :class:`RequestJournal` is the typed wrapper both the
+gateway and the replay tool speak.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "JournalEntry",
     "JournalBackend",
-    "MemoryJournalBackend",
     "RequestJournal",
     "JournalState",
     "chain_digest",
@@ -117,29 +117,30 @@ _Row = tuple[int, str, str, str, str, str | None, str | None]
 class JournalBackend(Protocol):
     """Durable storage contract behind :class:`RequestJournal`.
 
-    :class:`~repro.server.store.SQLiteStore` implements this against the
-    ``request_journal`` table; :class:`MemoryJournalBackend` against a
-    dict.  All methods are append/read — rows are never mutated except
-    by :meth:`journal_ack` (pending → done) and never deleted except by
-    :meth:`journal_compact`.
+    :class:`~repro.server.store.SQLiteStore` implements this against its
+    ``request_journal``, ``ledger_bounds`` and ``audit_spill`` tables.
+    Rows are never mutated except by :meth:`journal_ack_many`
+    (pending → done) and never deleted except by :meth:`journal_compact`.
     """
-
-    def journal_append(self, key: str, kind: str, payload_json: str) -> _Row:
-        """Insert a pending row under *key*, or return the existing row."""
-        ...
 
     def journal_append_many(
         self, items: list[tuple[str, str, str]]
     ) -> list[_Row]:
-        """Batched :meth:`journal_append` (one durable transaction)."""
+        """Insert one pending row per new key, or return the existing row
+        (one durable transaction)."""
         ...
 
-    def journal_ack(self, seq: int, digest: str, response_json: str) -> None:
-        """Mark row *seq* done, recording its outcome digest and response."""
+    def journal_ack_many(
+        self,
+        items: list[tuple[int, str, str]],
+        bounds: Iterable[tuple[str, str, dict[str, Any]]] = (),
+    ) -> None:
+        """Mark rows done, recording outcome digest and response, and put
+        the ledger *bounds* in the same durable transaction."""
         ...
 
-    def journal_ack_many(self, items: list[tuple[int, str, str]]) -> None:
-        """Batched :meth:`journal_ack` (one durable transaction)."""
+    def append_audit_spill(self, rows: list[tuple[int, str, str]]) -> None:
+        """Persist audit events evicted from the in-memory ring."""
         ...
 
     def journal_lookup(self, key: str) -> _Row | None:
@@ -161,91 +162,6 @@ class JournalBackend(Protocol):
     def journal_compact(self, upto_seq: int) -> int:
         """Delete acknowledged rows with ``seq <= upto_seq``; return count."""
         ...
-
-
-class MemoryJournalBackend:
-    """An in-process :class:`JournalBackend` for store-less deployments.
-
-    Same contract, no durability: a journal on this backend still gives
-    exactly-once effects and deterministic replay *within* a process
-    lifetime, which is what tests and single-shot tools need.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._rows: dict[str, list[Any]] = {}
-        self._by_seq: dict[int, list[Any]] = {}
-        self._pending = 0
-        self._next_seq = 1
-
-    def journal_append(self, key: str, kind: str, payload_json: str) -> _Row:
-        """Insert a pending row under *key*, or return the existing row."""
-        return self.journal_append_many([(key, kind, payload_json)])[0]
-
-    def journal_append_many(
-        self, items: list[tuple[str, str, str]]
-    ) -> list[_Row]:
-        """Batched append; duplicates within the batch resolve to one row."""
-        out: list[_Row] = []
-        with self._lock:
-            for key, kind, payload_json in items:
-                row = self._rows.get(key)
-                if row is None:
-                    row = [self._next_seq, key, kind, payload_json, "pending", None, None]
-                    self._next_seq += 1
-                    self._rows[key] = self._by_seq[row[0]] = row
-                    self._pending += 1
-                out.append(tuple(row))
-        return out
-
-    def journal_ack(self, seq: int, digest: str, response_json: str) -> None:
-        """Mark row *seq* done (idempotent)."""
-        self.journal_ack_many([(seq, digest, response_json)])
-
-    def journal_ack_many(self, items: list[tuple[int, str, str]]) -> None:
-        """Batched ack."""
-        with self._lock:
-            for seq, digest, response_json in items:
-                row = self._by_seq.get(seq)
-                if row is not None:
-                    if row[4] == "pending":
-                        self._pending -= 1
-                    row[4], row[5], row[6] = "done", digest, response_json
-
-    def journal_lookup(self, key: str) -> _Row | None:
-        """The row under *key*, or ``None``."""
-        with self._lock:
-            row = self._rows.get(key)
-            return None if row is None else tuple(row)
-
-    def journal_entries(self) -> list[_Row]:
-        """Every row, in sequence order."""
-        with self._lock:
-            return sorted(
-                (tuple(row) for row in self._rows.values()), key=lambda r: r[0]
-            )
-
-    def journal_counts(self) -> tuple[int, int]:
-        """``(rows, pending rows)``, from kept counters."""
-        with self._lock:
-            return len(self._rows), self._pending
-
-    def journal_next_seq(self) -> int:
-        """One past the highest sequence number ever issued."""
-        with self._lock:
-            return self._next_seq
-
-    def journal_compact(self, upto_seq: int) -> int:
-        """Delete acknowledged rows with ``seq <= upto_seq``."""
-        with self._lock:
-            doomed = [
-                key
-                for key, row in self._rows.items()
-                if row[4] == "done" and row[0] <= upto_seq
-            ]
-            for key in doomed:
-                del self._by_seq[self._rows.pop(key)[0]]
-            return len(doomed)
 
 
 def _decode_row(row: _Row) -> JournalEntry:
@@ -359,9 +275,8 @@ class RequestJournal:
 
         When *bounds* — ``(user_id, spec_name, payload)`` ledger-mirror
         writes drained from a buffering ledger — are supplied, they are
-        written in the *same* transaction as the acks, which requires a
-        backend speaking ``journal_ack_with_bounds`` (the SQLite store
-        does).  That atomicity is the exactly-once guarantee.
+        written in the *same* transaction as the acks.  That atomicity is
+        the exactly-once guarantee.
         """
         if not items and not bounds:
             return []
@@ -381,15 +296,7 @@ class RequestJournal:
         bounds: list[tuple[str, str, dict[str, Any]]] | None,
     ) -> None:
         start = time.perf_counter()
-        if bounds:
-            atomic = getattr(self.backend, "journal_ack_with_bounds", None)
-            if atomic is None:
-                raise ValueError(
-                    "journal backend cannot ack atomically with ledger bounds"
-                )
-            atomic(rows, bounds)
-        else:
-            self.backend.journal_ack_many(rows)
+        self.backend.journal_ack_many(rows, bounds or ())
         metrics = self.metrics
         if metrics:
             _ACK_SECONDS(metrics).observe(time.perf_counter() - start)
@@ -446,13 +353,9 @@ class RequestJournal:
         """Persist audit events evicted from the in-memory ring.
 
         The sink for :class:`~repro.service.api.AuditTrail`'s overflow
-        hook; events land in the backend's ``audit_spill`` table when it
-        has one (the memory backend accepts and drops them).
+        hook; events land in the backend's ``audit_spill`` table.
         """
-        sink = getattr(self.backend, "append_audit_spill", None)
-        if sink is None:
-            return
-        sink(
+        self.backend.append_audit_spill(
             [
                 (event.seq, event.kind, canonical_json(event.data))
                 for event in events

@@ -435,7 +435,7 @@ class PrivacyBudgetLedger:
         common case: fresh users all sit at the full space) cost one
         posterior intersection and one vectorized bound-size check.
         Duplicate ids collapse to one decision; serving rounds are
-        already unique per user (:func:`repro.server.workers.rounds_by_user`).
+        already unique per user (:func:`repro.server.core.rounds_by_user`).
 
         Each distinct bound's posterior pair is kept for :meth:`commit`,
         so committing the admitted users folds no bound a second time.

@@ -35,8 +35,8 @@ journal recorded across N crashes therefore replays as N generations
 converging on one ledger.
 
 Pending entries (journaled but never acknowledged — the crash windows)
-carry no recorded digest to compare against; replay applies them by
-default, mirroring what
+carry no recorded digest to compare against; replay always applies
+them, mirroring what
 :meth:`~repro.server.gateway.DeclassificationServer.recover_from_journal`
 does on a real boot, and counts them separately.  One that is invalid
 on its own terms is recorded as an ``error`` outcome, never raised.
@@ -107,7 +107,6 @@ class ReplayReport:
     replayed: int
     matched: int
     pending_applied: int
-    pending_skipped: int
     restarts: int
     divergences: tuple[ReplayDivergence, ...] = ()
     refusals: tuple[ReplayRefusal, ...] = ()
@@ -149,7 +148,6 @@ class ReplaySession:
         self,
         source: RequestJournal | JournalBackend | Sequence[JournalEntry],
         *,
-        apply_pending: bool = True,
         trace_digest: str | None = None,
     ):
         if isinstance(source, RequestJournal):
@@ -159,7 +157,6 @@ class ReplaySession:
         else:
             entries = source
         self.entries = sorted(entries, key=lambda e: e.seq)
-        self.apply_pending = apply_pending
         self.trace_digest = trace_digest
         # Accumulates every generation's spans; sized so no replayed
         # trace is evicted mid-run (one trace per entry is an upper
@@ -179,7 +176,7 @@ class ReplaySession:
         replayed: list[str] = []
         divergences: list[ReplayDivergence] = []
         refusals: list[ReplayRefusal] = []
-        counts = {"replayed": 0, "matched": 0, "applied": 0, "skipped": 0}
+        counts = {"replayed": 0, "matched": 0, "applied": 0}
         restarts = -1  # the first configure entry is boot, not a restart
 
         for index, entry in enumerate(self.entries):
@@ -195,9 +192,6 @@ class ReplaySession:
                 server = DeclassificationServer.replay_twin(entry.payload, store)
                 await server.rebuild_generation(self.entries[:index])
                 restarts += 1
-            elif entry.status == "pending" and not self.apply_pending:
-                counts["skipped"] += 1
-                continue
             try:
                 actual = await server.apply_entry(
                     entry.kind,
@@ -245,7 +239,6 @@ class ReplaySession:
             replayed=counts["replayed"],
             matched=counts["matched"],
             pending_applied=counts["applied"],
-            pending_skipped=counts["skipped"],
             restarts=max(restarts, 0),
             divergences=tuple(divergences),
             refusals=tuple(refusals),
@@ -270,12 +263,7 @@ class ReplaySession:
 def replay_journal(
     source: RequestJournal | JournalBackend | Sequence[JournalEntry],
     *,
-    apply_pending: bool = True,
     trace_digest: str | None = None,
 ) -> ReplayReport:
     """Synchronous one-call replay (wraps :meth:`ReplaySession.run`)."""
-    return asyncio.run(
-        ReplaySession(
-            source, apply_pending=apply_pending, trace_digest=trace_digest
-        ).run()
-    )
+    return asyncio.run(ReplaySession(source, trace_digest=trace_digest).run())

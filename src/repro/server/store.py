@@ -58,7 +58,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.server import faults
@@ -282,18 +282,15 @@ class SQLiteStore:
         "seq, idem_key, kind, payload, status, outcome_digest, response"
     )
 
-    def journal_append(self, key: str, kind: str, payload_json: str):
-        """Insert one pending journal row, or return the existing row.
-
-        ``INSERT OR IGNORE`` against the ``idem_key`` unique constraint
-        makes the append idempotent at the storage layer: concurrent or
-        retried appends of one idempotency key always resolve to one
-        row and one sequence number.
-        """
-        return self.journal_append_many([(key, kind, payload_json)])[0]
-
     def journal_append_many(self, items: list[tuple[str, str, str]]):
-        """Batched append — one durable transaction for a whole tick."""
+        """Insert pending journal rows, or return the existing rows.
+
+        One durable transaction for a whole tick.  ``INSERT OR IGNORE``
+        against the ``idem_key`` unique constraint makes the append
+        idempotent at the storage layer: concurrent or retried appends
+        of one idempotency key always resolve to one row and one
+        sequence number.
+        """
 
         def txn(conn):
             now = time.time()
@@ -316,36 +313,21 @@ class SQLiteStore:
 
         return self._write_txn(txn)
 
-    def journal_ack(self, seq: int, digest: str, response_json: str) -> None:
-        """Mark one journal row done, recording digest and response."""
-        self.journal_ack_many([(seq, digest, response_json)])
-
-    def journal_ack_many(self, items: list[tuple[int, str, str]]) -> None:
-        """Batched ack — one durable transaction for a whole tick."""
-
-        def txn(conn):
-            now = time.time()
-            conn.executemany(
-                "UPDATE request_journal SET status = 'done', "
-                "outcome_digest = ?, response = ?, acked_at = ? WHERE seq = ?",
-                [(digest, blob, now, seq) for seq, digest, blob in items],
-            )
-
-        self._write_txn(txn)
-
-    def journal_ack_with_bounds(
+    def journal_ack_many(
         self,
         items: list[tuple[int, str, str]],
-        bounds: list[tuple[str, str, dict[str, Any]]],
+        bounds: Iterable[tuple[str, str, dict[str, Any]]] = (),
     ) -> None:
         """Acks plus ledger-bound puts, atomically, in one transaction.
 
-        The exactly-once keystone: a journaled gateway drains the
-        ledger's buffered durable-mirror writes and lands them *with*
-        the acknowledgements they justify.  A crash therefore leaves the
-        store in one of exactly two states — bounds folded and entries
-        acked, or neither — never the in-doubt middle where a recovery
-        re-execution would see a different prior than the original run.
+        Marks each ``(seq, digest, response_json)`` row done.  The
+        exactly-once keystone: a journaled gateway drains the ledger's
+        buffered durable-mirror writes into *bounds* and lands them
+        *with* the acknowledgements they justify.  A crash therefore
+        leaves the store in one of exactly two states — bounds folded
+        and entries acked, or neither — never the in-doubt middle where
+        a recovery re-execution would see a different prior than the
+        original run.
         """
 
         # Users sharing a bound share its payload object: encode it once.
@@ -359,11 +341,12 @@ class SQLiteStore:
 
         def txn(conn):
             now = time.time()
-            conn.executemany(
-                "INSERT OR REPLACE INTO ledger_bounds "
-                "(user_id, spec, payload, updated_at) VALUES (?, ?, ?, ?)",
-                [(user_id, spec_name, blob, now) for user_id, spec_name, blob in rows],
-            )
+            if rows:
+                conn.executemany(
+                    "INSERT OR REPLACE INTO ledger_bounds "
+                    "(user_id, spec, payload, updated_at) VALUES (?, ?, ?, ?)",
+                    [(user, spec, blob, now) for user, spec, blob in rows],
+                )
             conn.executemany(
                 "UPDATE request_journal SET status = 'done', "
                 "outcome_digest = ?, response = ?, acked_at = ? WHERE seq = ?",

@@ -19,7 +19,8 @@ from repro.lang.secrets import SecretSpec
 from repro.monad.policy import size_above
 from repro.server.edge import HttpEdge
 from repro.server.gateway import DeclassificationServer, ServerConfig
-from repro.server.journal import MemoryJournalBackend, RequestJournal
+from repro.server.journal import RequestJournal
+from repro.server.store import SQLiteStore
 
 SPEC = SecretSpec.declare("ObsLoc", x=(0, 199), y=(0, 199))
 OPTIONS = CompileOptions(domain="interval", modes=("under", "over"))
@@ -34,7 +35,7 @@ def stack():
         options=OPTIONS,
         budget_floor=size_above(4000),
         config=ServerConfig(inline_compiles=True),
-        journal=RequestJournal(MemoryJournalBackend()),
+        journal=RequestJournal(SQLiteStore(":memory:")),
     )
     with HttpEdge(server, access_log=lines.append) as edge:
         yield edge, server, lines

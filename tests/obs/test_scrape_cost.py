@@ -1,11 +1,11 @@
 """A scrape never reads the whole journal.
 
 ``/metrics``, ``/statusz``, ``/v1/audit`` and ``/v1/healthz`` all report
-the journal's size and backlog.  Those counts come from the backend's
-aggregate (a kept counter in memory, one ``COUNT`` query in SQLite), so
-a scrape costs the same on a journal of ten rows as on one of a
-million.  The spy below makes any full-journal read during a scrape a
-test failure, on both backends, before and after compaction.
+the journal's size and backlog.  Those counts come from one ``COUNT``
+query on the journal's store, so a scrape costs the same on a journal of
+ten rows as on one of a million.  The spy below makes any full-journal
+read during a scrape a test failure, on a store-less (in-memory) journal
+and on one sharing the ledger's store, before and after compaction.
 """
 
 import asyncio
@@ -23,7 +23,7 @@ from repro.server import faults
 from repro.server.edge import HttpEdge
 from repro.server.faults import FaultPlan, FaultSpec
 from repro.server.gateway import DeclassificationServer, ServerConfig
-from repro.server.journal import MemoryJournalBackend, RequestJournal
+from repro.server.journal import RequestJournal
 from repro.server.store import SQLiteStore
 from repro.service.api import CompileRequest
 
@@ -118,15 +118,16 @@ async def traffic(server):
 
 @pytest.mark.parametrize("backend", ["sqlite", "memory"])
 def test_scrapes_count_without_reading_the_journal(backend):
-    store = SQLiteStore(":memory:") if backend == "sqlite" else None
-    spy = EntriesSpy(store if store is not None else MemoryJournalBackend())
+    store = SQLiteStore(":memory:")
+    spy = EntriesSpy(store)
     journal = RequestJournal(spy)
     server = DeclassificationServer(
         size_above(100),
         options=OPTIONS,
         budget_floor=size_above(4000),
         config=ServerConfig(inline_compiles=True),
-        store=store,
+        # "sqlite": the ledger shares the journal's store (the spy).
+        store=spy if backend == "sqlite" else None,
         journal=journal,
     )
     asyncio.run(traffic(server))
@@ -148,5 +149,4 @@ def test_scrapes_count_without_reading_the_journal(backend):
             assert journal.pending_count() == expected_pending
             assert len(journal) == expected_entries
         spy.armed = False
-    if store is not None:
-        store.close()
+    store.close()

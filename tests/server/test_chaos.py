@@ -476,6 +476,47 @@ def test_compile_fault_matrix_inline():
     asyncio.run(scenario())
 
 
+def test_compile_deadline_times_out_a_hung_process_shard():
+    """A hung compile shard (the runbook's "Job hangs" row): the
+    ``compile_deadline`` cancels the attempt, the supervisor records the
+    timeout and replaces the worker, and the receipt's artifact is the
+    one an unfaulted compile caches.  The replacement serves the next
+    compile on the shard path once the plan is disarmed."""
+
+    async def scenario():
+        control = make_server(config=ServerConfig(inline_compiles=True))
+        await control.register_query(CompileRequest("west", "x <= 99", SPEC))
+        control_keys = set(control.cache.keys())
+        control.shutdown()
+
+        plan = FaultPlan(
+            [FaultSpec(site="compile", kind="delay", times=1, delay=5.0)],
+            seed=CHAOS_SEED,
+        )
+        # No retries: a fresh worker installs the shipped plan with its
+        # own counters, so a retry would hang again.
+        config = ServerConfig(compile_deadline=0.3, max_retries=0)
+        server = make_server(config=config, fault_plan=plan)
+        receipt = await server.register_query(
+            CompileRequest("west", "x <= 99", SPEC)
+        )
+        assert receipt.verified and not receipt.cache_hit
+        assert set(server.cache.keys()) == control_keys
+        stats = server.supervisor.stats
+        assert (stats.timeouts, stats.restarts, stats.failovers) == (1, 1, 1)
+        assert server.stats.shard_restarts == 1
+        assert server.stats.degraded_compiles == 1
+
+        server.fault_plan = server.pool.fault_plan = None
+        again = await server.register_query(CompileRequest("south", "y <= 99", SPEC))
+        assert again.verified
+        assert stats.timeouts == 1 and server.stats.degraded_compiles == 1
+        assert server.supervisor.breaker("compile", again.shard).state() == "closed"
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
 def test_compile_breaker_fails_over_to_inline_execution():
     async def scenario():
         plan = FaultPlan(

@@ -20,7 +20,8 @@ from repro.server.gateway import (
     ServerDegraded,
     ServerOverloaded,
 )
-from repro.server.journal import MemoryJournalBackend, RequestJournal
+from repro.server.journal import RequestJournal
+from repro.server.store import SQLiteStore
 from repro.server.supervise import ShardCrash, ShardTimeout
 from repro.server.workers import ShardOverloaded
 
@@ -35,7 +36,7 @@ def edge():
         options=OPTIONS,
         budget_floor=size_above(4000),
         config=ServerConfig(inline_compiles=True),
-        journal=RequestJournal(MemoryJournalBackend()),
+        journal=RequestJournal(SQLiteStore(":memory:")),
     )
     with HttpEdge(server) as running:
         yield running

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.server.journal import (
     JOURNAL_FORMAT_VERSION,
     JournalBackend,
-    MemoryJournalBackend,
     RequestJournal,
     chain_digest,
     live_state,
@@ -17,10 +16,14 @@ from repro.service.serialize import payload_digest
 
 
 @pytest.fixture(params=["memory", "sqlite"])
-def backend(request):
+def backend(request, tmp_path):
+    """A store-less journal (in-memory SQLite) and a file-backed one."""
     if request.param == "memory":
-        return MemoryJournalBackend()
-    return SQLiteStore(":memory:")
+        store = SQLiteStore(":memory:")
+    else:
+        store = SQLiteStore(tmp_path / "journal.sqlite")
+    yield store
+    store.close()
 
 
 def test_backends_satisfy_the_protocol(backend):
@@ -174,12 +177,6 @@ def test_ack_with_bounds_lands_both_atomically():
         ("w", "Loc", {"payload": 2}),
         ("x", "Loc", {"payload": 3}),
     ]
-    # A backend without the atomic hook refuses rather than splitting
-    # the transaction silently.
-    mem = RequestJournal(MemoryJournalBackend())
-    pending = mem.begin("k", "downgrade", {})
-    with pytest.raises(ValueError):
-        mem.ack(pending.seq, {"kind": "downgrade"}, bounds=[("u", "Loc", {})])
 
 
 def test_audit_spill_persists_to_the_store():
@@ -191,10 +188,6 @@ def test_audit_spill_persists_to_the_store():
         [AuditEvent(seq=0, kind="downgrade", data={"session_id": "u"})]
     )
     assert store.audit_spill_count() == 1
-    # The memory backend has no spill table; spilling is a silent drop.
-    RequestJournal(MemoryJournalBackend()).spill_audit(
-        [AuditEvent(seq=0, kind="x", data={})]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +205,7 @@ def test_duplicated_reordered_deliveries_keep_one_row_per_key(deliveries):
     """At-least-once delivery, exactly-once rows: any interleaving of
     duplicate deliveries yields one journal row per key, and every
     delivery after the first ack sees the recorded response."""
-    journal = RequestJournal(MemoryJournalBackend())
+    journal = RequestJournal(SQLiteStore(":memory:"))
     responses: dict[int, dict] = {}
     for request_id in deliveries:
         key = f"req/{request_id}"
@@ -229,28 +222,3 @@ def test_duplicated_reordered_deliveries_keep_one_row_per_key(deliveries):
     assert len(journal) == len(set(deliveries))
     for request_id in set(deliveries):
         assert journal.recorded_response(f"req/{request_id}") == responses[request_id]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    deliveries=_DELIVERIES,
-    data=st.data(),
-)
-def test_memory_and_sqlite_backends_agree(deliveries, data):
-    """Differential: both backends journal identical histories.
-
-    Sequence *values* may differ (SQLite's AUTOINCREMENT burns numbers
-    on duplicate-key inserts); the contract is per-key identity, status
-    agreement, ordering, and digest-chain equality.
-    """
-    mem = RequestJournal(MemoryJournalBackend())
-    sql = RequestJournal(SQLiteStore(":memory:"))
-    for request_id in deliveries:
-        key = f"req/{request_id}"
-        entries = [j.begin(key, "downgrade", {"request": request_id}) for j in (mem, sql)]
-        assert entries[0].status == entries[1].status
-        if entries[0].status == "pending" and data.draw(st.booleans()):
-            for j, e in zip((mem, sql), entries):
-                j.ack(e.seq, {"request": request_id})
-    assert mem.audit_digest() == sql.audit_digest()
-    assert [e.key for e in mem.entries()] == [e.key for e in sql.entries()]

@@ -31,7 +31,7 @@ from repro.monad.policy import size_above
 from repro.server import faults
 from repro.server.faults import CRASH_EXIT_CODE, FaultPlan, FaultSpec
 from repro.server.gateway import DeclassificationServer, ServerConfig
-from repro.server.journal import MemoryJournalBackend, RequestJournal
+from repro.server.journal import RequestJournal
 from repro.server.ledger import DecayPolicy
 from repro.server.replay import ReplaySession, replay_journal
 from repro.server.store import SQLiteStore
@@ -83,7 +83,7 @@ def bounds_of(store: SQLiteStore) -> list:
 
 def test_recorded_history_replays_bit_identically():
     async def scenario():
-        backend = MemoryJournalBackend()
+        backend = SQLiteStore(":memory:")
         server = make_server(backend, budget_decay=DecayPolicy(radius=1))
         await boot(server)
         server.open_session("s1", (SPEC, SECRET), user_id="alice")
@@ -124,7 +124,7 @@ def test_replay_reproduces_trace_trees_bit_identically():
     """
 
     async def scenario():
-        backend = MemoryJournalBackend()
+        backend = SQLiteStore(":memory:")
         server = make_server(backend, budget_decay=DecayPolicy(radius=1))
         await boot(server)
         server.open_session("s1", (SPEC, SECRET), user_id="alice")
@@ -172,15 +172,18 @@ def test_replay_reproduces_trace_trees_bit_identically():
 
 def test_tampered_outcome_digest_is_pinpointed():
     async def scenario():
-        backend = MemoryJournalBackend()
+        backend = SQLiteStore(":memory:")
         server = make_server(backend)
         await boot(server, QUERIES[:1])
         server.open_session("s1", (SPEC, SECRET))
         await server.downgrade("s1", "west", idempotency_key="victim")
         server.shutdown()
 
-        row = backend._rows["victim"]
-        row[5] = "0" * 64  # falsify the recorded outcome digest
+        # Falsify the recorded outcome digest.
+        backend._execute_write(
+            "UPDATE request_journal SET outcome_digest = ? WHERE idem_key = ?",
+            ("0" * 64, "victim"),
+        )
         report = await ReplaySession(RequestJournal(backend)).run()
         assert not report.conforms
         assert len(report.divergences) == 1
@@ -193,7 +196,7 @@ def test_tampered_outcome_digest_is_pinpointed():
 
 
 def test_replay_requires_a_configure_entry_first():
-    journal = RequestJournal(MemoryJournalBackend())
+    journal = RequestJournal(SQLiteStore(":memory:"))
     journal.begin("k", "downgrade", {"session_id": "s", "query_name": "q"})
     with pytest.raises(ValueError, match="configure"):
         ReplaySession(journal)
@@ -562,7 +565,7 @@ def test_duplicate_deliveries_never_double_charge(deliveries):
     """
 
     async def run(schedule):
-        server = make_server(MemoryJournalBackend())
+        server = make_server(SQLiteStore(":memory:"))
         await boot(server, QUERIES[:2])
         server.open_session("s1", (SPEC, SECRET), user_id="alice")
         responses = {}
@@ -583,3 +586,39 @@ def test_duplicate_deliveries_never_double_charge(deliveries):
     control_remaining, control_entries = asyncio.run(run(["west", "south"]))
     assert remaining == control_remaining == 10_000
     assert entries == control_entries
+
+
+# ---------------------------------------------------------------------------
+# Journaled layouts: a durable ledger must share the journal's store
+# ---------------------------------------------------------------------------
+
+
+def test_ledger_on_another_store_than_the_journal_is_refused(tmp_path):
+    """Bounds on one store and acks on another cannot land in one
+    transaction, so construction refuses before writing either store."""
+    journal_store = SQLiteStore(tmp_path / "journal.db")
+    ledger_store = SQLiteStore(tmp_path / "ledger.db")
+    with pytest.raises(ValueError, match="journal's store"):
+        make_server(journal_store, store=ledger_store)
+    for store in (journal_store, ledger_store):
+        assert store.journal_counts() == (0, 0)
+        assert store.ledger_bound_count() == 0
+        store.close()
+
+
+def test_supported_journaled_layouts_construct(tmp_path):
+    shared = SQLiteStore(tmp_path / "shared.db")
+    artifacts = SQLiteStore(tmp_path / "artifacts.db")
+    layouts = [
+        # Journal and durable ledger in one store: exactly-once.
+        make_server(shared, store=shared),
+        # No ledger: nothing to land with the acks.
+        make_server(SQLiteStore(":memory:"), store=artifacts, budget_floor=None),
+        # No store: an in-memory journal beside an in-memory ledger.
+        make_server(SQLiteStore(":memory:")),
+    ]
+    for server in layouts:
+        assert len(server.journal) == 1  # the configure entry
+        server.shutdown()
+    shared.close()
+    artifacts.close()
