@@ -17,7 +17,10 @@ a busy SQLite file — *reproducibly*.  This module is that switchboard:
 * plans cross the process boundary inside job payload JSON
   (:func:`encode_for_payload` / :func:`install_from_payload`), so shard
   worker processes fault exactly where the test asked, even after the
-  supervisor replaces the process.
+  supervisor replaces the process.  A plan's firing budgets are per
+  plan, not per process: a pool hands them to every worker it forks in
+  shared memory (:func:`executor_options`), so a ``times=1`` fault that
+  fired in a worker does not fire again in its replacement.
 
 Crash faults come in two modes.  ``process`` mode calls
 ``os._exit(CRASH_EXIT_CODE)`` — a real abrupt death that the
@@ -30,6 +33,7 @@ the identical recovery path without killing the test runner.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import sqlite3
@@ -37,6 +41,7 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import Any
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -47,6 +52,7 @@ __all__ = [
     "call_suppressed",
     "clear_fault_plan",
     "encode_for_payload",
+    "executor_options",
     "install_fault_plan",
     "install_from_payload",
     "maybe_corrupt",
@@ -125,7 +131,8 @@ class FaultPlan:
 
     Thread-safe: shard workers are single-threaded, but the gateway's
     inline pools and the store's writer can consult one plan from
-    several threads.
+    several threads.  Once :meth:`shared_budgets` has moved the budgets
+    into shared memory, they are process-safe too.
     """
 
     def __init__(self, specs: list[FaultSpec] | tuple[FaultSpec, ...] = (), seed: int = 0):
@@ -147,6 +154,24 @@ class FaultPlan:
             {"seed": self.seed, "specs": [spec.to_json() for spec in self.specs]},
             sort_keys=True,
         )
+
+    def shared_budgets(self) -> Any:
+        """The firing budgets, moved into shared memory on first call.
+
+        Worker processes that adopt them (see :func:`executor_options`)
+        spend this plan's budgets instead of starting their own.
+        """
+        with self._lock:
+            if not isinstance(self._remaining, list):
+                return self._remaining
+            budgets = multiprocessing.Array("q", self._remaining)
+            self._bind(budgets)
+            return budgets
+
+    def _bind(self, budgets: Any) -> None:
+        """Spend *budgets* (a shared array, guarded by its own lock)."""
+        self._remaining = budgets
+        self._lock = budgets.get_lock()
 
     def take(self, site: str, kind: str) -> FaultSpec | None:
         """Consume one firing of *kind* at *site*, if the plan has one.
@@ -192,6 +217,27 @@ _SIMULATE = False
 #: makes an inherited plan inert — a worker faults only when its own
 #: payload installed the plan, never because the gateway had one.
 _INSTALLED_PID: int | None = None
+#: ``(fingerprint, shared budgets)`` handed to this worker process by
+#: its pool (:func:`executor_options`).
+_ADOPTED: tuple[str, Any] | None = None
+
+
+def executor_options(plan: FaultPlan | None) -> dict[str, Any]:
+    """``ProcessPoolExecutor`` arguments that hand *plan*'s firing
+    budgets to the worker it forks, so that faults fire at most
+    ``times`` per plan across every replacement worker."""
+    if plan is None:
+        return {}
+    return {
+        "initializer": _adopt_budgets,
+        "initargs": (plan.fingerprint(), plan.shared_budgets()),
+    }
+
+
+def _adopt_budgets(fingerprint: str, budgets: Any) -> None:
+    """Worker initializer: spend *budgets* once a matching plan arrives."""
+    global _ADOPTED
+    _ADOPTED = (fingerprint, budgets)
 
 
 def install_fault_plan(plan: FaultPlan | None, *, simulate: bool = False) -> None:
@@ -202,7 +248,8 @@ def install_fault_plan(plan: FaultPlan | None, *, simulate: bool = False) -> Non
     lets a long-lived worker process fire ``times=1`` exactly once even
     though every job payload re-ships the plan.  A plan inherited across
     ``fork`` does not count as active (see ``_INSTALLED_PID``): the
-    first payload install in a fresh worker starts its own counters.
+    first payload install in a fresh worker takes the budgets its pool
+    handed it for this plan, or starts its own counters if none.
     """
     global _ACTIVE, _SIMULATE, _INSTALLED_PID
     with _LOCK:
@@ -214,6 +261,8 @@ def install_fault_plan(plan: FaultPlan | None, *, simulate: bool = False) -> Non
             or _INSTALLED_PID != os.getpid()
             or _ACTIVE.fingerprint() != plan.fingerprint()
         ):
+            if _ADOPTED is not None and _ADOPTED[0] == plan.fingerprint():
+                plan._bind(_ADOPTED[1])
             _ACTIVE = plan
             _INSTALLED_PID = os.getpid()
         _SIMULATE = simulate

@@ -43,7 +43,7 @@ observable.
 runs through a :class:`~repro.server.core.ServingCore`.  By default
 (``serving_shards=0``) it is the gateway's own core — the service's
 :class:`~repro.service.session.SessionManager` and the ledger — run on
-a gateway worker thread, one batch at a time: simple, and right for
+the gateway's event loop, one batch at a time: simple, and right for
 small deployments.  With ``serving_shards=N`` the warm path moves off
 the gateway entirely: sessions route by
 :func:`~repro.server.workers.serve_shard_of` over the durable user id to
@@ -203,7 +203,7 @@ class ServerConfig:
     #: Run compiles synchronously in-process instead of shard processes.
     inline_compiles: bool = False
     #: Serving shards (single-worker processes, routed by user id).
-    #: 0 = serve batches on gateway worker threads (the default).
+    #: 0 = serve batches on the gateway's event loop (the default).
     serving_shards: int = 0
     #: Run serving-shard payloads synchronously in-process (tests,
     #: single-core deployments); only meaningful with ``serving_shards``.
@@ -1383,9 +1383,12 @@ class DeclassificationServer:
     ) -> dict[tuple[str, str], DowngradeResult]:
         """Serve query groups on the gateway core, one at a time.
 
-        Gateway-local jobs and the degraded fallback both land here.  The
-        core lock keeps gateway-core batches sequential (degraded
-        fallbacks of different shards would otherwise overlap), and
+        Gateway-local jobs and the degraded fallback both land here.
+        Each batch runs on the event loop itself: a batch takes
+        microseconds to milliseconds, less than a hop to a worker
+        thread and back costs.  The core lock admits one gateway-core
+        job at a time (degraded fallbacks of several shards included),
+        so a job that has not taken it has not started; and
         ``call_suppressed`` keeps the core's kill points quiet: serving
         on the gateway is fault-free by definition (DESIGN.md §10).
         """
@@ -1393,8 +1396,7 @@ class DeclassificationServer:
         async with self._core_lock:
             for query_name, waiters in groups:
                 try:
-                    results, _touched, refusals = await asyncio.to_thread(
-                        faults.call_suppressed,
+                    results, _touched, refusals = faults.call_suppressed(
                         self.core.serve_batch,
                         query_name,
                         [pending.session_id for pending in waiters],

@@ -601,7 +601,9 @@ class ShardedCompilePool:
         with self._lock:
             executor = self._executors[shard]
             if executor is None:
-                executor = ProcessPoolExecutor(max_workers=1)
+                executor = ProcessPoolExecutor(
+                    max_workers=1, **faults.executor_options(self.fault_plan)
+                )
                 self._executors[shard] = executor
             return executor
 
@@ -769,7 +771,9 @@ class ServingShardPool:
         with self._lock:
             executor = self._executors[shard]
             if executor is None:
-                executor = ProcessPoolExecutor(max_workers=1)
+                executor = ProcessPoolExecutor(
+                    max_workers=1, **faults.executor_options(self.fault_plan)
+                )
                 self._executors[shard] = executor
             return executor
 

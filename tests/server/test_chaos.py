@@ -493,8 +493,8 @@ def test_compile_deadline_times_out_a_hung_process_shard():
             [FaultSpec(site="compile", kind="delay", times=1, delay=5.0)],
             seed=CHAOS_SEED,
         )
-        # No retries: a fresh worker installs the shipped plan with its
-        # own counters, so a retry would hang again.
+        # No retries: the timeout fails over to inline execution at once
+        # (the retry path is the test below).
         config = ServerConfig(compile_deadline=0.3, max_retries=0)
         server = make_server(config=config, fault_plan=plan)
         receipt = await server.register_query(
@@ -512,6 +512,37 @@ def test_compile_deadline_times_out_a_hung_process_shard():
         assert again.verified
         assert stats.timeouts == 1 and server.stats.degraded_compiles == 1
         assert server.supervisor.breaker("compile", again.shard).state() == "closed"
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_compile_retry_succeeds_on_the_replacement_process_shard():
+    """A one-shot fault fires once per plan, not once per worker: the
+    hung compile times out, the supervisor replaces the worker, and the
+    retry compiles on the replacement shard with no inline failover."""
+
+    async def scenario():
+        control = make_server(config=ServerConfig(inline_compiles=True))
+        await control.register_query(CompileRequest("west", "x <= 99", SPEC))
+        control_keys = set(control.cache.keys())
+        control.shutdown()
+
+        plan = FaultPlan(
+            [FaultSpec(site="compile", kind="delay", times=1, delay=60.0)],
+            seed=CHAOS_SEED,
+        )
+        config = ServerConfig(compile_deadline=1.0, max_retries=2)
+        server = make_server(config=config, fault_plan=plan)
+        receipt = await server.register_query(
+            CompileRequest("west", "x <= 99", SPEC)
+        )
+        assert receipt.verified and not receipt.cache_hit
+        assert set(server.cache.keys()) == control_keys
+        stats = server.supervisor.stats
+        assert (stats.timeouts, stats.retries, stats.restarts) == (1, 1, 1)
+        assert stats.failovers == 0
+        assert server.stats.degraded_compiles == 0
         server.shutdown()
 
     asyncio.run(scenario())

@@ -1,8 +1,10 @@
 """The HTTP edge: routes, error mapping, and idempotency passthrough."""
 
+import asyncio
 import http.client
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -24,6 +26,7 @@ from repro.server.journal import RequestJournal
 from repro.server.store import SQLiteStore
 from repro.server.supervise import ShardCrash, ShardTimeout
 from repro.server.workers import ShardOverloaded
+from repro.service.api import CompileRequest
 
 SPEC = SecretSpec.declare("EdgeLoc", x=(0, 199), y=(0, 199))
 OPTIONS = CompileOptions(domain="interval", modes=("under", "over"))
@@ -321,19 +324,20 @@ def small_edge(**kwargs) -> HttpEdge:
     return HttpEdge(server, **kwargs)
 
 
-def test_stop_closes_idle_connections_and_joins_their_threads():
+def test_stop_closes_idle_connections_and_ends_their_tasks():
     edge = small_edge()
     edge.start()
     sock = open_socket(edge)
     try:
         status, _, _ = raw_exchange(sock, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
         assert status == 200
-        handlers = list(edge._httpd._live.values())
-        assert len(handlers) == 1
+        connections = list(edge._connections)
+        assert len(connections) == 1
         started = time.perf_counter()
         edge.stop()
         assert time.perf_counter() - started < 2.0
-        assert not any(thread.is_alive() for thread in handlers)
+        assert all(task.done() for task in connections)
+        assert not edge._connections
         assert sock.recv(1) == b""
     finally:
         sock.close()
@@ -349,3 +353,169 @@ def test_idle_connections_time_out_after_the_edge_timeout():
             assert sock.recv(1) == b""
             assert time.perf_counter() - started < 2.0
     edge.server.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The request parser: the stdlib server's limits and HTTP/1.0, 100-continue
+# ---------------------------------------------------------------------------
+
+
+def refused_and_closed(sock, request: bytes) -> tuple[int, dict]:
+    """Send a request the edge refuses; it must answer and hang up."""
+    status, headers, payload = raw_exchange(sock, request)
+    assert headers["connection"] == "close"
+    assert sock.recv(1) == b""
+    return status, json.loads(payload)
+
+
+def test_malformed_request_line_is_400_and_closes(edge):
+    with open_socket(edge) as sock:
+        status, body = refused_and_closed(sock, b"GET /v1/healthz\r\n\r\n")
+    assert status == 400 and body["error"] == "bad_request"
+
+
+def test_request_line_over_64_kib_is_414_and_closes(edge):
+    path = b"/v1/healthz?" + b"a" * 65536
+    with open_socket(edge) as sock:
+        status, body = refused_and_closed(sock, b"GET " + path + b" HTTP/1.1\r\n\r\n")
+    assert status == 414 and body["error"] == "uri_too_long"
+
+
+def test_header_line_over_64_kib_is_431_and_closes(edge):
+    with open_socket(edge) as sock:
+        status, body = refused_and_closed(
+            sock, b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 65536 + b"\r\n\r\n"
+        )
+    assert status == 431 and body["error"] == "headers_too_large"
+
+
+def test_more_than_100_headers_is_431_and_closes(edge):
+    head = b"".join(b"X-H%d: 1\r\n" % i for i in range(101))
+    with open_socket(edge) as sock:
+        status, body = refused_and_closed(
+            sock, b"GET /v1/healthz HTTP/1.1\r\n" + head + b"\r\n"
+        )
+    assert status == 431 and body["error"] == "headers_too_large"
+
+
+def test_100_headers_are_served(edge):
+    head = b"".join(b"X-H%d: 1\r\n" % i for i in range(100))
+    with open_socket(edge) as sock:
+        status, _, _ = raw_exchange(sock, b"GET /v1/healthz HTTP/1.1\r\n" + head + b"\r\n")
+    assert status == 200
+
+
+def test_http_1_0_without_keep_alive_closes_after_its_response(edge):
+    with open_socket(edge) as sock:
+        status, _, payload = raw_exchange(sock, b"GET /v1/healthz HTTP/1.0\r\n\r\n")
+        assert status == 200 and json.loads(payload)["status"] == "ok"
+        assert sock.recv(1) == b""
+
+
+def test_http_1_0_with_keep_alive_stays_open(edge):
+    request = b"GET /v1/healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+    with open_socket(edge) as sock:
+        assert raw_exchange(sock, request)[0] == 200
+        assert raw_exchange(sock, request)[0] == 200
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(edge):
+    body = json.dumps({"session_id": "ghost", "query_name": "west"}).encode()
+    with open_socket(edge) as sock:
+        sock.sendall(
+            b"POST /v1/downgrades HTTP/1.1\r\nHost: edge\r\n"
+            b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+        )
+        reader = sock.makefile("rb")
+        assert reader.readline().split()[1] == b"100"
+        assert reader.readline() == b"\r\n"
+        status, _, payload = raw_exchange(sock, body)
+    assert status == 200 and json.loads(payload)["authorized"] is False
+
+
+def test_unrouted_method_is_501_and_closes(edge):
+    with open_socket(edge) as sock:
+        status, body = refused_and_closed(sock, b"PUT /v1/healthz HTTP/1.1\r\n\r\n")
+    assert status == 501 and body["error"] == "not_implemented"
+
+
+def on_loop(edge, work):
+    """Run a coroutine (or a plain call) on the edge's loop; its result."""
+    if not asyncio.iscoroutine(work):
+        call = work
+
+        async def wrapped():
+            return call()
+
+        work = wrapped()
+    return asyncio.run_coroutine_threadsafe(work, edge._loop).result(30)
+
+
+def serving_edge() -> HttpEdge:
+    """A started edge with query ``west`` and session ``s`` in place."""
+    edge = small_edge()
+    edge.start()
+    server = edge.server
+    on_loop(edge, server.register_query(CompileRequest("west", "x <= 99", SPEC)))
+    on_loop(edge, lambda: server.open_session("s", (SPEC, (10, 10))))
+    return edge
+
+
+DOWNGRADE = json.dumps({"session_id": "s", "query_name": "west"}).encode()
+
+
+def test_a_downgrade_in_flight_at_stop_still_gets_its_answer():
+    edge = serving_edge()
+    lock = edge.server._core_lock
+    try:
+        # Hold the gateway core: the downgrade is queued, not yet served.
+        on_loop(edge, lock.acquire())
+        with open_socket(edge) as sock:
+            sock.sendall(
+                b"POST /v1/downgrades HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(DOWNGRADE), DOWNGRADE)
+            )
+            deadline = time.monotonic() + 5
+            while not on_loop(edge, lambda: lock._waiters):
+                assert time.monotonic() < deadline, "the downgrade never queued"
+                time.sleep(0.01)
+            edge._loop.call_soon_threadsafe(edge._loop.call_later, 0.2, lock.release)
+            edge.stop()
+            status, headers, payload = raw_exchange(sock, b"")
+            assert status == 200 and json.loads(payload)["authorized"]
+            assert headers["connection"] == "close"
+            assert sock.recv(1) == b""
+    finally:
+        edge.server.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# One thread serves a request
+# ---------------------------------------------------------------------------
+
+
+def test_a_started_edge_owns_one_thread_and_serves_batches_on_it():
+    before = set(threading.enumerate())
+    edge = serving_edge()
+    server = edge.server
+    serving_threads = []
+    real_serve_batch = server.core.serve_batch
+
+    def recording(query_name, session_ids, traces=None):
+        serving_threads.append(threading.current_thread())
+        return real_serve_batch(query_name, session_ids, traces)
+
+    server.core.serve_batch = recording
+    conns = [http.client.HTTPConnection(*edge.address, timeout=30) for _ in range(2)]
+    try:
+        for conn in conns:
+            conn.request("POST", "/v1/downgrades", DOWNGRADE)
+            assert conn.getresponse().read()
+        assert set(threading.enumerate()) - before == {edge._loop_thread}
+    finally:
+        for conn in conns:
+            conn.close()
+        edge.stop()
+        server.shutdown()
+    assert len(serving_threads) == 2
+    assert set(serving_threads) == {edge._loop_thread}

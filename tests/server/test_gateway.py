@@ -1,7 +1,6 @@
 """DeclassificationServer: coalescing, batching, restart, budget, shedding."""
 
 import asyncio
-import threading
 
 import pytest
 
@@ -301,22 +300,19 @@ def test_cancelled_flush_still_counts_the_groups_it_served(monkeypatch):
         for name, text in (("a", "x <= 99"), ("b", "y <= 99")):
             await server.register_query(CompileRequest(name, text, SPEC))
         server.open_session("u", (SPEC, (10, 10)))
-        release = threading.Event()
         real_serve_batch = server.core.serve_batch
 
-        def stalled(query_name, session_ids, traces=None):
+        def cancelling(query_name, session_ids, traces=None):
             if query_name == "b":
-                release.wait(timeout=10)
+                flush.cancel()  # group b is running on the loop
             return real_serve_batch(query_name, session_ids, traces)
 
-        monkeypatch.setattr(server.core, "serve_batch", stalled)
+        monkeypatch.setattr(server.core, "serve_batch", cancelling)
         first = asyncio.ensure_future(server.downgrade("u", "a"))
         second = asyncio.ensure_future(server.downgrade("u", "b"))
         await asyncio.sleep(0)  # both enqueue; the auto-flush is created
         flush = server._flush_task
         assert (await first).authorized
-        flush.cancel()  # group b is running on its worker thread
-        release.set()
         with pytest.raises(asyncio.CancelledError):
             await flush
         assert second.cancelled()
@@ -353,7 +349,7 @@ def test_flush_cancelled_before_the_lock_does_not_stall_later_downgrades():
     asyncio.run(scenario())
 
 
-def test_cancelled_flush_schedules_a_follow_up_for_requeued_waiters(monkeypatch):
+def test_cancelled_flush_schedules_a_follow_up_for_requeued_waiters():
     """Waiters of jobs a cancelled flush never started are requeued and
     served by a follow-up flush, with no new arrival to trigger one."""
 
@@ -362,26 +358,21 @@ def test_cancelled_flush_schedules_a_follow_up_for_requeued_waiters(monkeypatch)
         for name, text in (("a", "x <= 99"), ("b", "y <= 99")):
             await server.register_query(CompileRequest(name, text, SPEC))
         server.open_session("u", (SPEC, (10, 10)))
-        entered, release = threading.Event(), threading.Event()
-        real_serve_batch = server.core.serve_batch
-
-        def stalled(query_name, session_ids, traces=None):
-            if query_name == "a":
-                entered.set()
-                release.wait(timeout=10)
-            return real_serve_batch(query_name, session_ids, traces)
-
-        monkeypatch.setattr(server.core, "serve_batch", stalled)
+        await server._core_lock.acquire()  # group a's job cannot start
         first = asyncio.ensure_future(server.downgrade("u", "a"))
         second = asyncio.ensure_future(server.downgrade("u", "b"))
         await asyncio.sleep(0)
         flush = server._flush_task
-        while not entered.is_set():  # group a runs; group b has not started
-            await asyncio.sleep(0.01)
+
+        async def job_a_waits():  # and group b's job has not started
+            while not server._core_lock._waiters:
+                await asyncio.sleep(0)
+
+        await asyncio.wait_for(job_a_waits(), timeout=5)
         flush.cancel()
-        release.set()
         with pytest.raises(asyncio.CancelledError):
             await flush
+        server._core_lock.release()
         assert first.cancelled()
         served = await asyncio.wait_for(second, timeout=5)
         assert served.authorized and served.query_name == "b"
