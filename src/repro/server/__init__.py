@@ -78,7 +78,9 @@ from repro.server.gateway import (
 from repro.server.journal import (
     JOURNAL_FORMAT_VERSION,
     JournalBackend,
+    JournalCheckpoint,
     JournalEntry,
+    JournalState,
     RequestJournal,
     chain_digest,
     live_state,
@@ -139,7 +141,9 @@ __all__ = [
     "HttpEdge",
     "JOURNAL_FORMAT_VERSION",
     "JournalBackend",
+    "JournalCheckpoint",
     "JournalEntry",
+    "JournalState",
     "RequestJournal",
     "chain_digest",
     "live_state",

@@ -43,9 +43,11 @@ observable.
 runs through a :class:`~repro.server.core.ServingCore`.  By default
 (``serving_shards=0``) it is the gateway's own core — the service's
 :class:`~repro.service.session.SessionManager` and the ledger — run on
-the gateway's event loop, one batch at a time: simple, and right for
-small deployments.  With ``serving_shards=N`` the warm path moves off
-the gateway entirely: sessions route by
+the gateway's event loop: simple, and right for small deployments.  A
+gateway-local tick runs its batches back to back and never yields from
+its journal append to its last ack, so no other request runs in the
+middle of one.  With ``serving_shards=N`` the warm path moves off the
+gateway entirely: sessions route by
 :func:`~repro.server.workers.serve_shard_of` over the durable user id to
 one of N single-process serving shards, each running a core over the
 sessions *and* the ledger accounts of its users, so batch evaluation
@@ -104,7 +106,7 @@ import asyncio
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 from repro.core.plugin import CompileOptions
 from repro.lang.canonical import (
@@ -125,7 +127,7 @@ from repro.obs.trace import span_id_for, trace_id_for
 from repro.server import faults
 from repro.server.core import ServingCore, result_kind
 from repro.server.faults import FaultPlan
-from repro.server.journal import JournalEntry, RequestJournal, live_state
+from repro.server.journal import JournalState, RequestJournal
 from repro.server.ledger import DecayPolicy, PrivacyBudgetLedger
 from repro.server.supervise import RetryPolicy, ShardSupervisor
 from repro.server.workers import (
@@ -325,8 +327,8 @@ class _PendingDowngrade:
     #: Idempotency key of the journaled request this waiter carries
     #: (``None`` on unjournaled servers and internal re-applies).
     journal_key: str | None = None
-    #: Set once the entry is appended; guards against double appends
-    #: when a waiter is requeued by a cancelled flush.
+    #: The entry's sequence number, set when the tick's ``begin_many``
+    #: appends it (``None`` while queued and on unjournaled waiters).
     journal_seq: int | None = None
     #: Deterministic trace id (journaled: derived from key + seq at
     #: append time; unjournaled: from a local monotone counter).
@@ -580,9 +582,8 @@ class DeclassificationServer:
         self._users: dict[str, str] = {}
         #: The gateway's serving core: gateway-local serving and the
         #: degraded fallback, over the service's sessions and the mirror
-        #: ledger.  Runs one batch at a time (``_core_lock``).
+        #: ledger.  Runs on the event loop, one batch at a time.
         self.core = ServingCore(self.service.manager, self.ledger, self._users)
-        self._core_lock = asyncio.Lock()
         #: Shard-mode session handles (the shard owns the live state).
         self._shard_sessions: dict[str, Session] = {}
         #: Pending ops per serving shard, shipped before its next batch.
@@ -619,8 +620,6 @@ class DeclassificationServer:
         self._flush_lock = asyncio.Lock()
         #: The scheduled flush that will serve the next arrivals.
         self._flush_task: asyncio.Task | None = None
-        #: Set while :meth:`stop` drains; its final flush serves requeues.
-        self._stopping = False
 
     # -- conveniences --------------------------------------------------------
     @property
@@ -1157,9 +1156,9 @@ class DeclassificationServer:
         One durable transaction per tick, in queue order (so sequence
         numbers do not depend on how the tick is partitioned into jobs),
         *before* any of these waiters executes — the write-ahead half of
-        the journal contract.  A waiter requeued by a cancelled flush
-        keeps its ``journal_seq`` and is not re-appended; re-begins after
-        a crashed flush resolve to the existing pending rows (same seq).
+        the journal contract.  Each waiter is begun exactly once, by the
+        flush that dequeued it; re-begins after a crashed flush resolve
+        to the existing pending rows (same seq).
         The after-journal crash point fires here, so an injected crash
         lands on exactly the journaled-but-unexecuted state recovery
         must handle.
@@ -1170,7 +1169,7 @@ class DeclassificationServer:
         pendings: list[tuple[_PendingDowngrade, str]] = []
         for query_name, waiters in queue.items():
             for pending in waiters:
-                if pending.journal_key is None or pending.journal_seq is not None:
+                if pending.journal_key is None:
                     continue
                 items.append(
                     (
@@ -1231,6 +1230,10 @@ class DeclassificationServer:
         The tick is partitioned into jobs — one per query group on the
         gateway core, or one per serving shard — journaled by one
         write-ahead ``begin_many``, and resolved by :meth:`_resolve`.
+        Once it holds the flush lock, a gateway-local tick runs to its
+        last ack as one step of the event loop: lifecycle calls, scrapes
+        and new arrivals wait for it to end, so journal order is
+        execution order.
         """
         async with self._flush_lock:
             if self._flush_task is asyncio.current_task():
@@ -1283,17 +1286,16 @@ class DeclassificationServer:
     ) -> int:
         """Run a tick's jobs and resolve their waiters, job by job.
 
-        Shard jobs all start at once and run concurrently; gateway-core
-        jobs start one after another, because each ledger commit must
-        follow its own round's admission.  Per job, in order: acknowledge
-        its journal entries (after its ledger fold), count it, record one
-        ``batch`` audit event for each query group whose last job this
-        is, and resolve its waiters.  A job that raises fails only its
-        own waiters; later jobs are still served.  On cancellation
-        started jobs are cancelled with their waiters, and waiters of
-        jobs that never started are requeued, with a follow-up flush
-        scheduled for them (outside :meth:`stop`, whose final flush
-        serves them).
+        Gateway-core jobs run inline, one after another, so each ledger
+        commit follows its own round's admission and a gateway-local
+        tick never yields between its ``begin_many`` and its last ack.
+        Shard jobs all start at once and run concurrently.  Per job, in
+        order: acknowledge its journal entries (after its ledger fold),
+        count it, record one ``batch`` audit event for each query group
+        whose last job this is, and resolve its waiters.  A job that
+        raises fails only its own waiters; later jobs are still served.
+        Only an awaited shard job can be cancelled: the unfinished jobs
+        are then cancelled together with their waiters.
         """
         tasks: list[asyncio.Future | None] = [
             None if shard is None else asyncio.ensure_future(
@@ -1317,11 +1319,10 @@ class DeclassificationServer:
         for index, (shard, groups) in enumerate(jobs):
             waiters = [pending for _name, group in groups for pending in group]
             try:
-                if tasks[index] is None:
-                    tasks[index] = asyncio.ensure_future(
-                        self._serve_on_gateway(groups)
-                    )
-                by_key = await tasks[index]
+                task = tasks[index]
+                by_key = (
+                    self._serve_on_gateway(groups) if task is None else await task
+                )
                 self._journal_ack_downgrades(
                     [
                         (pending, by_key[(query_name, pending.session_id)])
@@ -1334,16 +1335,9 @@ class DeclassificationServer:
                 for (_shard, later), task in zip(jobs[index:], tasks[index:]):
                     if task is not None:
                         task.cancel()
-                    for query_name, group in later:
-                        remaining = [p for p in group if not p.future.done()]
-                        if task is not None:
-                            for pending in remaining:
-                                pending.future.cancel()
-                        elif remaining:
-                            self._queue.setdefault(query_name, []).extend(remaining)
-                            self._queued += len(remaining)
-                if self._queued and not self._stopping:
-                    self._schedule_flush()
+                    for _name, group in later:
+                        for pending in group:
+                            pending.future.cancel()
                 for query_name in list(tally):
                     audit_batch(query_name)
                 raise
@@ -1378,36 +1372,34 @@ class DeclassificationServer:
                         )
         return served
 
-    async def _serve_on_gateway(
+    def _serve_on_gateway(
         self, groups: list[tuple[str, list[_PendingDowngrade]]]
     ) -> dict[tuple[str, str], DowngradeResult]:
-        """Serve query groups on the gateway core, one at a time.
+        """Serve query groups on the gateway core, one after another.
 
         Gateway-local jobs and the degraded fallback both land here.
-        Each batch runs on the event loop itself: a batch takes
-        microseconds to milliseconds, less than a hop to a worker
-        thread and back costs.  The core lock admits one gateway-core
-        job at a time (degraded fallbacks of several shards included),
-        so a job that has not taken it has not started; and
-        ``call_suppressed`` keeps the core's kill points quiet: serving
-        on the gateway is fault-free by definition (DESIGN.md §10).
+        Each batch runs on the event loop itself and nothing here
+        awaits: a batch takes microseconds to milliseconds, less than a
+        hop to a worker thread and back costs, and no other coroutine
+        can touch the core mid-job.  ``call_suppressed`` keeps the
+        core's kill points quiet: serving on the gateway is fault-free
+        by definition (DESIGN.md §10).
         """
         by_key: dict[tuple[str, str], DowngradeResult] = {}
-        async with self._core_lock:
-            for query_name, waiters in groups:
-                try:
-                    results, _touched, refusals = faults.call_suppressed(
-                        self.core.serve_batch,
-                        query_name,
-                        [pending.session_id for pending in waiters],
-                        self._traces_for(waiters),
-                    )
-                finally:
-                    if self.core.spans:
-                        self.hub.tracer.absorb(self.core.drain_spans())
-                self.stats.budget_refusals += refusals
-                for result in results:
-                    by_key[(query_name, result.session_id)] = result
+        for query_name, waiters in groups:
+            try:
+                results, _touched, refusals = faults.call_suppressed(
+                    self.core.serve_batch,
+                    query_name,
+                    [pending.session_id for pending in waiters],
+                    self._traces_for(waiters),
+                )
+            finally:
+                if self.core.spans:
+                    self.hub.tracer.absorb(self.core.drain_spans())
+            self.stats.budget_refusals += refusals
+            for result in results:
+                by_key[(query_name, result.session_id)] = result
         return by_key
 
     async def _serve_shard_groups(
@@ -1500,7 +1492,7 @@ class DeclassificationServer:
             # ledger: the floor holds exactly as it would on the shard.
             self.stats.degraded_batches += 1
             self._adopt_degraded_sessions(shard)
-            return await self._serve_on_gateway(groups)
+            return self._serve_on_gateway(groups)
 
         return await self.supervisor.supervise(
             "serving",
@@ -1844,25 +1836,22 @@ class DeclassificationServer:
             raise ValueError(f"unknown journal entry kind {kind!r}")
         return _LIFECYCLE[kind].outcome(payload, result)
 
-    async def rebuild_generation(
-        self, history: Sequence[JournalEntry]
-    ) -> JournalRecovery:
-        """Rebuild the ephemeral state an acknowledged journal prefix implies.
+    async def rebuild_generation(self, state: JournalState) -> JournalRecovery:
+        """Rebuild the ephemeral state a journal prefix implies.
 
         The one rebuild shared by recovery (after a crash) and replay (at
-        a restart boundary).  From *history*'s
-        :func:`~repro.server.journal.live_state`: re-register the live
-        queries (warm cache — zero recompiles), re-open the live
-        sessions, and re-fold their knowledge — with no journal entry,
-        ledger charge or audit decision.  Knowledge is an intersection of
-        posterior boxes (commutative, idempotent), so one re-fold per
-        distinct acknowledged authorized (session, query) pair rebuilds
-        exactly what the dead process held: the rebuilt gateway is a
-        seamless continuation, and a journal recorded across crashes
-        replays as one history.  Shard-owned sessions are skipped; shard
+        a restart boundary).  From *state* (a
+        :func:`~repro.server.journal.live_state`, checkpoint included):
+        re-register the live queries (warm cache — zero recompiles),
+        re-open the live sessions, and re-fold their knowledge — with no
+        journal entry, ledger charge or audit decision.  Knowledge is an
+        intersection of posterior boxes (commutative, idempotent), so one
+        re-fold per answered (session, query) pair rebuilds exactly what
+        the dead process held: the rebuilt gateway is a seamless
+        continuation, and a journal recorded across crashes replays as
+        one history.  Shard-owned sessions are skipped; shard
         rehydration rebuilds their knowledge.
         """
-        state = live_state(history)
         for payload in state.compiles.values():
             await self._register_query(_compile_request(payload))
         for payload in state.sessions.values():
@@ -1872,17 +1861,12 @@ class DeclassificationServer:
                 )
         manager = self.service.manager
         refolded = 0
-        seen: set[tuple[str, str]] = set()
-        for entry in history:
-            # A pending entry has no response, so it is never refolded.
-            if entry.kind != "downgrade" or not (entry.response or {}).get("authorized"):
+        for session_id, queries in state.answered.items():
+            if session_id not in manager.sessions:
                 continue
-            pair = (entry.payload["session_id"], entry.payload["query_name"])
-            if pair in seen or pair[0] not in manager.sessions:
-                continue
-            seen.add(pair)
-            if manager.try_downgrade(*pair).authorized:
-                refolded += 1
+            for query_name in queries:
+                if manager.try_downgrade(session_id, query_name).authorized:
+                    refolded += 1
         return JournalRecovery(
             queries=len(state.compiles),
             sessions=len(state.sessions),
@@ -1894,10 +1878,10 @@ class DeclassificationServer:
         """Converge this freshly booted server onto its journal's state.
 
         Two phases.  (1) :meth:`rebuild_generation` from the whole
-        journal.  (2) Re-apply the *pending* suffix — requests a dead
-        process journaled but never acknowledged — through
-        :meth:`apply_entry` under each entry's original key, so the
-        re-run acknowledges the original row.  A pending request that
+        journal, its compaction checkpoint included.  (2) Re-apply the
+        *pending* suffix — requests a dead process journaled but never
+        acknowledged — through :meth:`apply_entry` under each entry's
+        original key, so the re-run acknowledges the original row.  A pending request that
         had already executed re-executes; the ledger's monotone
         intersection folds make that converge to exactly the state an
         uninterrupted run reaches.  Duplicate client retries afterwards
@@ -1911,11 +1895,10 @@ class DeclassificationServer:
         """
         if self.journal is None:
             raise ValueError("recover_from_journal requires a journaled server")
-        entries = self.journal.entries()
-        rebuilt = await self.rebuild_generation(entries)
+        rebuilt = await self.rebuild_generation(self.journal.state())
         reapplied = 0
-        for entry in entries:
-            if entry.status != "pending" or entry.kind == "configure":
+        for entry in self.journal.pending():
+            if entry.kind == "configure":
                 continue
             try:
                 await self.apply_entry(
@@ -1935,11 +1918,7 @@ class DeclassificationServer:
 
     async def stop(self) -> None:
         """Serve whatever is still queued: the final flush drops nothing."""
-        self._stopping = True
-        try:
-            await self.flush()
-        finally:
-            self._stopping = False
+        await self.flush()
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self) -> None:

@@ -38,7 +38,7 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Protocol, runtime_checkable
 
 from repro.obs.metrics import NULL_REGISTRY, LazySeries
@@ -48,6 +48,7 @@ __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "JournalEntry",
     "JournalBackend",
+    "JournalCheckpoint",
     "RequestJournal",
     "JournalState",
     "chain_digest",
@@ -120,7 +121,8 @@ class JournalBackend(Protocol):
     :class:`~repro.server.store.SQLiteStore` implements this against its
     ``request_journal``, ``ledger_bounds`` and ``audit_spill`` tables.
     Rows are never mutated except by :meth:`journal_ack_many`
-    (pending → done) and never deleted except by :meth:`journal_compact`.
+    (pending → done) and never deleted except by :meth:`journal_compact`,
+    which leaves a checkpoint of what it deleted in their place.
     """
 
     def journal_append_many(
@@ -159,8 +161,17 @@ class JournalBackend(Protocol):
         """One past the highest sequence number ever issued."""
         ...
 
-    def journal_compact(self, upto_seq: int) -> int:
-        """Delete acknowledged rows with ``seq <= upto_seq``; return count."""
+    def journal_checkpoint(self) -> str | None:
+        """The JSON checkpoint the last compaction stored, or ``None``."""
+        ...
+
+    def journal_compact(self, seqs: list[int], checkpoint: str) -> int:
+        """Store *checkpoint* and delete the acknowledged rows among
+        *seqs*, in one durable transaction; return the count deleted."""
+        ...
+
+    def ledger_bounds(self) -> Iterable[tuple[str, str, dict[str, Any]]]:
+        """Every durable ``(user_id, spec_name, payload)`` ledger bound."""
         ...
 
 
@@ -343,10 +354,25 @@ class RequestJournal:
         (:attr:`~repro.server.replay.ReplayReport.conforms`).
         """
         return chain_digest(
-            e.outcome_digest
-            for e in self.entries()
-            if e.status == "done" and e.outcome_digest is not None
+            (
+                e.outcome_digest
+                for e in self.entries()
+                if e.status == "done" and e.outcome_digest is not None
+            ),
+            seed=self.checkpoint().chain,
         )
+
+    def checkpoint(self) -> "JournalCheckpoint":
+        """What :meth:`compact` kept of the rows it deleted (empty before
+        the first compaction)."""
+        blob = self.backend.journal_checkpoint()
+        if blob is None:
+            return JournalCheckpoint()
+        return JournalCheckpoint.from_json(json.loads(blob))
+
+    def state(self) -> "JournalState":
+        """The live state the whole journal implies, checkpoint included."""
+        return live_state(self.entries(), base=self.checkpoint().state)
 
     # -- maintenance -------------------------------------------------------
     def spill_audit(self, events: Iterable[Any]) -> None:
@@ -362,29 +388,49 @@ class RequestJournal:
             ]
         )
 
-    def compact(self, upto_seq: int | None = None) -> int:
-        """Drop acknowledged entries with ``seq <= upto_seq``; return count.
+    def compact(self) -> int:
+        """Fold every acknowledged entry into the checkpoint; return how
+        many rows were deleted.
 
-        Pending entries are never dropped (they are the recovery
-        suffix).  Compaction narrows the duplicate-detection window: a
-        client retrying a key older than the compaction horizon
-        re-executes instead of short-circuiting — safe for effects
-        (ledger folds are idempotent) but it may observe a fresher
-        outcome, so compact behind the longest client retry window (see
-        the operations runbook).
+        The checkpoint (:class:`JournalCheckpoint`) keeps what recovery
+        and replay still need of the deleted rows: the live state they
+        imply, their chained audit digest, and the ledger bounds the
+        store holds at this moment, which are exactly the acknowledged
+        rows' effect (every bound lands in its ack's transaction).  It is
+        written in the same transaction that deletes the rows.  Pending
+        entries are never dropped (they are the recovery suffix).
+
+        Compaction narrows the duplicate-detection window: a client
+        retrying a compacted key re-executes instead of short-circuiting
+        — safe for effects (ledger folds are idempotent) but it may
+        observe a fresher outcome, so compact less often than the
+        longest client retry window (see the operations runbook).
         """
-        if upto_seq is None:
-            entries = self.entries()
-            done = [e.seq for e in entries if e.status == "done"]
-            if not done:
-                return 0
-            upto_seq = max(done)
-        return self.backend.journal_compact(upto_seq)
+        done = [e for e in self.entries() if e.status == "done"]
+        if not done:
+            return 0
+        previous = self.checkpoint()
+        checkpoint = JournalCheckpoint(
+            state=live_state(done, base=previous.state),
+            chain=chain_digest(
+                (e.outcome_digest for e in done if e.outcome_digest is not None),
+                seed=previous.chain,
+            ),
+            bounds=[list(row) for row in self.backend.ledger_bounds()],
+        )
+        return self.backend.journal_compact(
+            [e.seq for e in done], canonical_json(asdict(checkpoint))
+        )
 
 
-def chain_digest(digests: Iterable[str]) -> str:
-    """Fold a digest sequence into one order-sensitive chained digest."""
-    acc = hashlib.sha256(_CHAIN_SEED.encode("utf-8")).hexdigest()
+def chain_digest(digests: Iterable[str], *, seed: str | None = None) -> str:
+    """Fold a digest sequence into one order-sensitive chained digest.
+
+    *seed* continues a chain: ``chain_digest(b, seed=chain_digest(a))``
+    equals ``chain_digest(a + b)``, which is how a compacted journal's
+    checkpoint stands in for the rows it deleted.
+    """
+    acc = seed or hashlib.sha256(_CHAIN_SEED.encode("utf-8")).hexdigest()
     for digest in digests:
         acc = hashlib.sha256((acc + digest).encode("utf-8")).hexdigest()
     return acc
@@ -394,33 +440,87 @@ def chain_digest(digests: Iterable[str]) -> str:
 class JournalState:
     """The live gateway state a journal prefix's acknowledged entries imply.
 
-    ``compiles`` maps query name → latest compile payload; ``sessions``
-    maps session id → its open payload, with closed sessions removed.
-    Recovery (after a crash) and replay (at a restart boundary) rebuild a
-    generation from it through one gateway method,
-    :meth:`~repro.server.gateway.DeclassificationServer.rebuild_generation`.
+    ``configure`` is the latest configure payload; ``compiles`` maps
+    query name → latest compile payload; ``sessions`` maps session id →
+    its open payload, with closed sessions removed; ``answered`` maps a
+    live session id → the queries it was authorized on, in the order
+    first answered (the knowledge a rebuild re-folds).  Recovery (after
+    a crash) and replay (at a restart boundary) rebuild a generation
+    from it through one gateway method,
+    :meth:`~repro.server.gateway.DeclassificationServer.rebuild_generation`,
+    and compaction stores it in its checkpoint.
     """
 
+    configure: dict[str, Any] | None = None
     compiles: dict[str, dict[str, Any]] = field(default_factory=dict)
     sessions: dict[str, dict[str, Any]] = field(default_factory=dict)
+    answered: dict[str, list[str]] = field(default_factory=dict)
 
     def fold(self, entry: JournalEntry) -> None:
         """Fold one entry into the state."""
-        if entry.kind == "compile":
+        if entry.kind == "configure":
+            self.configure = entry.payload
+        elif entry.kind == "compile":
             self.compiles[entry.payload["name"]] = entry.payload
         elif entry.kind == "open_session":
             self.sessions[entry.payload["session_id"]] = entry.payload
         elif entry.kind == "close_session":
             self.sessions.pop(entry.payload["session_id"], None)
+            self.answered.pop(entry.payload["session_id"], None)
+        elif entry.kind == "downgrade" and (entry.response or {}).get("authorized"):
+            session_id = entry.payload["session_id"]
+            if session_id in self.sessions:
+                queries = self.answered.setdefault(session_id, [])
+                if entry.payload["query_name"] not in queries:
+                    queries.append(entry.payload["query_name"])
+
+    def copy(self) -> "JournalState":
+        """A copy that folding does not share (payloads are never mutated)."""
+        return JournalState(
+            configure=self.configure,
+            compiles=dict(self.compiles),
+            sessions=dict(self.sessions),
+            answered={sid: list(queries) for sid, queries in self.answered.items()},
+        )
 
 
-def live_state(entries: Iterable[JournalEntry]) -> JournalState:
+@dataclass(frozen=True)
+class JournalCheckpoint:
+    """What :meth:`RequestJournal.compact` keeps of the rows it deletes.
+
+    ``state`` is the live state they imply, ``chain`` their chained
+    audit digest (the seed of every later :func:`chain_digest`), and
+    ``bounds`` the ``[user_id, spec_name, payload]`` ledger bounds the
+    store held when they were deleted: replay seeds its twin's ledger
+    with them.  The empty checkpoint (nothing compacted yet) changes
+    nothing.
+    """
+
+    state: JournalState = field(default_factory=JournalState)
+    chain: str | None = None
+    bounds: list[list[Any]] = field(default_factory=list)
+
+    @classmethod
+    def from_json(cls, data: dict[str, Any]) -> "JournalCheckpoint":
+        """Decode what :meth:`RequestJournal.compact` stored (``asdict``)."""
+        return cls(
+            state=JournalState(**data["state"]),
+            chain=data["chain"],
+            bounds=data["bounds"],
+        )
+
+
+def live_state(
+    entries: Iterable[JournalEntry], *, base: JournalState | None = None
+) -> JournalState:
     """Fold a journal prefix into the ephemeral state it implies.
 
-    Pending entries are skipped: they may never have executed, and a
-    pending entry that is invalid must not be rebuilt on every boot.
+    *base* is the state of the rows a compaction deleted (left
+    untouched).  Pending entries are skipped: they may never have
+    executed, and a pending entry that is invalid must not be rebuilt on
+    every boot.
     """
-    state = JournalState()
+    state = JournalState() if base is None else base.copy()
     for entry in sorted(entries, key=lambda e: e.seq):
         if entry.status == "done":
             state.fold(entry)

@@ -34,6 +34,14 @@ in-memory store, just as the real store survives real restarts.  A
 journal recorded across N crashes therefore replays as N generations
 converging on one ledger.
 
+A compacted journal replays from its checkpoint
+(:class:`~repro.server.journal.JournalCheckpoint`): the twin of the
+generation the checkpoint ends in boots on the ledger bounds it saved,
+rebuilds the live state it folded, and both chained digests continue
+from its chain.  The deleted rows themselves are not re-executed (nor
+are their trace trees rebuilt); the backups taken before compaction are
+their record.
+
 Pending entries (journaled but never acknowledged — the crash windows)
 carry no recorded digest to compare against; replay always applies
 them, mirroring what
@@ -57,9 +65,11 @@ from repro.obs.trace import Tracer
 from repro.server.gateway import DeclassificationServer, REJECTED_REQUEST_ERRORS
 from repro.server.journal import (
     JournalBackend,
+    JournalCheckpoint,
     JournalEntry,
     RequestJournal,
     chain_digest,
+    live_state,
 )
 from repro.server.store import SQLiteStore
 from repro.service.serialize import payload_digest
@@ -150,10 +160,14 @@ class ReplaySession:
         *,
         trace_digest: str | None = None,
     ):
+        if isinstance(source, JournalBackend):
+            source = RequestJournal(source)
+        #: The compaction checkpoint replay starts from (empty for a
+        #: whole journal or a bare entry list).
+        self.checkpoint = JournalCheckpoint()
         if isinstance(source, RequestJournal):
             entries: Iterable[JournalEntry] = source.entries()
-        elif isinstance(source, JournalBackend):
-            entries = RequestJournal(source).entries()
+            self.checkpoint = source.checkpoint()
         else:
             entries = source
         self.entries = sorted(entries, key=lambda e: e.seq)
@@ -162,7 +176,8 @@ class ReplaySession:
         # trace is evicted mid-run (one trace per entry is an upper
         # bound), and exposed so tests can diff individual trees.
         self.tracer = Tracer(capacity=max(1024, len(self.entries) + 1))
-        if self.entries and self.entries[0].kind != "configure":
+        booted = self.checkpoint.state.configure is not None
+        if not booted and self.entries and self.entries[0].kind != "configure":
             raise ValueError(
                 "journal does not start with a configure entry; "
                 "replay cannot reconstruct the server it recorded"
@@ -178,6 +193,17 @@ class ReplaySession:
         refusals: list[ReplayRefusal] = []
         counts = {"replayed": 0, "matched": 0, "applied": 0}
         restarts = -1  # the first configure entry is boot, not a restart
+        checkpoint = self.checkpoint
+        if checkpoint.state.configure is not None:
+            # A compacted journal: boot the generation the checkpoint
+            # ends in, with the ledger the store held at compaction.
+            for user_id, spec_name, payload in checkpoint.bounds:
+                store.put_ledger_bound(user_id, spec_name, payload)
+            server = DeclassificationServer.replay_twin(
+                checkpoint.state.configure, store
+            )
+            await server.rebuild_generation(checkpoint.state)
+            restarts = 0
 
         for index, entry in enumerate(self.entries):
             if entry.kind == "configure":
@@ -190,7 +216,9 @@ class ReplaySession:
                 # and knowledge exactly as the recorded process's
                 # recovery did when it booted.
                 server = DeclassificationServer.replay_twin(entry.payload, store)
-                await server.rebuild_generation(self.entries[:index])
+                await server.rebuild_generation(
+                    live_state(self.entries[:index], base=checkpoint.state)
+                )
                 restarts += 1
             try:
                 actual = await server.apply_entry(
@@ -242,8 +270,8 @@ class ReplaySession:
             restarts=max(restarts, 0),
             divergences=tuple(divergences),
             refusals=tuple(refusals),
-            recorded_digest=chain_digest(recorded),
-            replayed_digest=chain_digest(replayed),
+            recorded_digest=chain_digest(recorded, seed=checkpoint.chain),
+            replayed_digest=chain_digest(replayed, seed=checkpoint.chain),
             recorded_trace_digest=self.trace_digest or "",
             replayed_trace_digest=self.tracer.digest(),
         )

@@ -404,14 +404,27 @@ class SQLiteStore:
                 row = None
         return 1 if row is None else int(row[0]) + 1
 
-    def journal_compact(self, upto_seq: int) -> int:
-        """Delete acknowledged journal rows with ``seq <= upto_seq``."""
+    def journal_checkpoint(self) -> str | None:
+        """The JSON checkpoint the last journal compaction stored."""
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT value FROM meta WHERE key = 'journal_checkpoint'"
+            ).fetchone()
+        return None if row is None else row[0]
+
+    def journal_compact(self, seqs: list[int], checkpoint: str) -> int:
+        """Replace the journal checkpoint and delete the acknowledged rows
+        among *seqs*, atomically."""
 
         def txn(conn):
-            cursor = conn.execute(
-                "DELETE FROM request_journal "
-                "WHERE status = 'done' AND seq <= ?",
-                (upto_seq,),
+            conn.execute(
+                "INSERT OR REPLACE INTO meta (key, value) "
+                "VALUES ('journal_checkpoint', ?)",
+                (checkpoint,),
+            )
+            cursor = conn.executemany(
+                "DELETE FROM request_journal WHERE status = 'done' AND seq = ?",
+                [(seq,) for seq in seqs],
             )
             return cursor.rowcount
 

@@ -18,7 +18,6 @@ transport (HTTP handler, queue consumer, test harness) talks to.  It owns
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -412,25 +411,3 @@ class DeclassificationService:
             authorized=sum(1 for r in results if r.authorized),
         )
         return results
-
-    # -- async entry points ------------------------------------------------
-    # The synchronous handlers are CPU-bound and thread-safe (the compile
-    # lock serializes register_query, SessionManager serializes batch
-    # application, the audit lock keeps sequence numbers dense), so the
-    # async surface simply hops to a worker thread.  An event-loop
-    # transport (the repro.server gateway, an HTTP frontend) awaits these
-    # without stalling its loop on a large batch.
-
-    async def register_query_async(self, request: CompileRequest) -> CompileReceipt:
-        """Async :meth:`register_query` (compiles off the event loop)."""
-        return await asyncio.to_thread(self.register_query, request)
-
-    async def handle_async(self, request: DowngradeRequest) -> DowngradeResult:
-        """Async :meth:`handle`."""
-        return await asyncio.to_thread(self.handle, request)
-
-    async def handle_batch_async(
-        self, request: BatchDowngradeRequest
-    ) -> list[DowngradeResult]:
-        """Async :meth:`handle_batch`."""
-        return await asyncio.to_thread(self.handle_batch, request)

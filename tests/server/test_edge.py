@@ -466,9 +466,9 @@ DOWNGRADE = json.dumps({"session_id": "s", "query_name": "west"}).encode()
 
 def test_a_downgrade_in_flight_at_stop_still_gets_its_answer():
     edge = serving_edge()
-    lock = edge.server._core_lock
+    lock = edge.server._flush_lock
     try:
-        # Hold the gateway core: the downgrade is queued, not yet served.
+        # Hold the flush lock: the downgrade is queued, not yet served.
         on_loop(edge, lock.acquire())
         with open_socket(edge) as sock:
             sock.sendall(

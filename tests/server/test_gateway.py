@@ -1,6 +1,7 @@
 """DeclassificationServer: coalescing, batching, restart, budget, shedding."""
 
 import asyncio
+import concurrent.futures
 
 import pytest
 
@@ -235,29 +236,6 @@ def test_compile_shed_surfaces_and_recovers():
     asyncio.run(scenario())
 
 
-def test_async_service_entry_points():
-    """The service facade's async surface (used by custom transports)."""
-    from repro.service.api import (
-        BatchDowngradeRequest,
-        DeclassificationService,
-        DowngradeRequest,
-    )
-
-    async def scenario():
-        service = DeclassificationService(size_above(100), options=OPTIONS)
-        receipt = await service.register_query_async(
-            CompileRequest("q", "x <= 50", SPEC)
-        )
-        assert receipt.verified
-        service.open_session("u", (SPEC, (10, 10)))
-        single = await service.handle_async(DowngradeRequest("u", "q"))
-        assert single.authorized and single.response is True
-        batch = await service.handle_batch_async(BatchDowngradeRequest("q"))
-        assert len(batch) == 1
-
-    asyncio.run(scenario())
-
-
 def test_flush_isolates_a_failing_batch_and_ticker_survives(monkeypatch):
     """One query group blowing up must fail only its own waiters; other
     groups in the same tick are still served and later ticks still run."""
@@ -293,26 +271,38 @@ def test_flush_isolates_a_failing_batch_and_ticker_survives(monkeypatch):
 
 def test_cancelled_flush_still_counts_the_groups_it_served(monkeypatch):
     """Cancelling a flush mid-tick must not lose the count (or the audit
-    event) of the query groups it already resolved."""
+    event) of the jobs it already resolved.  Only awaited shard jobs can
+    be cancelled part-way: a gateway-local tick never yields."""
 
     async def scenario():
-        server = make_server()
+        server = make_server(
+            config=ServerConfig(
+                inline_compiles=True, serving_shards=2, inline_serving=True
+            )
+        )
         for name, text in (("a", "x <= 99"), ("b", "y <= 99")):
             await server.register_query(CompileRequest(name, text, SPEC))
-        server.open_session("u", (SPEC, (10, 10)))
-        real_serve_batch = server.core.serve_batch
+        pool = server.serving_pool
+        by_shard: dict[int, str] = {}
+        for i in range(64):
+            by_shard.setdefault(pool.shard_for(f"u{i}"), f"u{i}")
+        first_user, second_user = by_shard[0], by_shard[1]
+        for sid in (first_user, second_user):
+            server.open_session(sid, (SPEC, (10, 10)))
+        real_submit = pool.submit
 
-        def cancelling(query_name, session_ids, traces=None):
-            if query_name == "b":
-                flush.cancel()  # group b is running on the loop
-            return real_serve_batch(query_name, session_ids, traces)
+        def stalling(shard, ops):
+            if shard == 1:
+                return concurrent.futures.Future()  # never answers
+            return real_submit(shard, ops)
 
-        monkeypatch.setattr(server.core, "serve_batch", cancelling)
-        first = asyncio.ensure_future(server.downgrade("u", "a"))
-        second = asyncio.ensure_future(server.downgrade("u", "b"))
+        monkeypatch.setattr(pool, "submit", stalling)
+        first = asyncio.ensure_future(server.downgrade(first_user, "a"))
+        second = asyncio.ensure_future(server.downgrade(second_user, "b"))
         await asyncio.sleep(0)  # both enqueue; the auto-flush is created
         flush = server._flush_task
         assert (await first).authorized
+        flush.cancel()  # the flush now awaits shard 1's job
         with pytest.raises(asyncio.CancelledError):
             await flush
         assert second.cancelled()
@@ -344,38 +334,6 @@ def test_flush_cancelled_before_the_lock_does_not_stall_later_downgrades():
         later = await asyncio.wait_for(server.downgrade("u", "q"), timeout=5)
         assert later.authorized
         assert (await asyncio.wait_for(first, timeout=5)).authorized
-        server.shutdown()
-
-    asyncio.run(scenario())
-
-
-def test_cancelled_flush_schedules_a_follow_up_for_requeued_waiters():
-    """Waiters of jobs a cancelled flush never started are requeued and
-    served by a follow-up flush, with no new arrival to trigger one."""
-
-    async def scenario():
-        server = make_server()
-        for name, text in (("a", "x <= 99"), ("b", "y <= 99")):
-            await server.register_query(CompileRequest(name, text, SPEC))
-        server.open_session("u", (SPEC, (10, 10)))
-        await server._core_lock.acquire()  # group a's job cannot start
-        first = asyncio.ensure_future(server.downgrade("u", "a"))
-        second = asyncio.ensure_future(server.downgrade("u", "b"))
-        await asyncio.sleep(0)
-        flush = server._flush_task
-
-        async def job_a_waits():  # and group b's job has not started
-            while not server._core_lock._waiters:
-                await asyncio.sleep(0)
-
-        await asyncio.wait_for(job_a_waits(), timeout=5)
-        flush.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await flush
-        server._core_lock.release()
-        assert first.cancelled()
-        served = await asyncio.wait_for(second, timeout=5)
-        assert served.authorized and served.query_name == "b"
         server.shutdown()
 
     asyncio.run(scenario())

@@ -121,6 +121,35 @@ def test_compact_drops_acknowledged_prefix_only(backend):
     assert journal.entry("k0") is None
 
 
+def test_compaction_checkpoint_keeps_state_and_chain(backend):
+    """What compaction deletes lives on in its checkpoint: the live state
+    and the audit digest read the same before and after, across two
+    compactions, and a later entry folds on top."""
+    journal = RequestJournal(backend)
+    ops = [
+        ("cfg", "configure", {"v": 1}, {"kind": "configure"}),
+        ("c1", "compile", {"name": "q"}, {"kind": "compile"}),
+        ("o1", "open_session", {"session_id": "u1"}, {"kind": "open"}),
+        ("o2", "open_session", {"session_id": "u2"}, {"kind": "open"}),
+        ("d1", "downgrade", {"session_id": "u1", "query_name": "q"}, {"authorized": True}),
+        ("d2", "downgrade", {"session_id": "u2", "query_name": "q"}, {"authorized": False}),
+    ]
+    for key, kind, payload, outcome in ops:
+        journal.ack(journal.begin(key, kind, payload).seq, outcome)
+    state, digest = journal.state(), journal.audit_digest()
+    assert state.answered == {"u1": ["q"]}
+    assert journal.compact() == len(ops)
+    assert journal.state() == state and journal.audit_digest() == digest
+    assert journal.checkpoint().state.configure == {"v": 1}
+    closed = journal.begin("x1", "close_session", {"session_id": "u1"})
+    journal.ack(closed.seq, {"kind": "close"})
+    state, digest = journal.state(), journal.audit_digest()
+    assert list(state.sessions) == ["u2"] and state.answered == {}
+    assert journal.compact() == 1
+    assert journal.state() == state and journal.audit_digest() == digest
+    assert len(journal) == 0
+
+
 def test_live_state_folds_compiles_and_sessions(backend):
     journal = RequestJournal(backend)
     ops = [

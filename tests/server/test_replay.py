@@ -195,6 +195,45 @@ def test_tampered_outcome_digest_is_pinpointed():
     asyncio.run(scenario())
 
 
+def test_a_lifecycle_call_never_lands_inside_a_gateway_tick(monkeypatch):
+    """A gateway-local tick runs from its journal append to its last ack
+    without yielding, so a close scheduled while the tick's first query
+    group runs executes after the whole tick — journal order is
+    execution order, and replay conforms."""
+
+    async def scenario():
+        backend = SQLiteStore(":memory:")
+        server = make_server(backend)
+        await boot(server, (("a", "x <= 99"), ("b", "y <= 99")))
+        server.open_session("u", (SPEC, SECRET))
+        loop = asyncio.get_running_loop()
+        real_serve_batch = server.core.serve_batch
+
+        def closing(query_name, session_ids, traces=None):
+            if query_name == "a":
+                loop.call_soon(
+                    lambda: server.close_session("u", idempotency_key="close/u")
+                )
+            return real_serve_batch(query_name, session_ids, traces)
+
+        monkeypatch.setattr(server.core, "serve_batch", closing)
+        results = await asyncio.gather(
+            server.downgrade("u", "a", idempotency_key="d/a"),
+            server.downgrade("u", "b", idempotency_key="d/b"),
+        )
+        await asyncio.sleep(0)  # the scheduled close has run
+        assert server.open_session_count() == 0
+        server.shutdown()
+
+        journal = RequestJournal(backend)
+        assert [e.key for e in journal.entries()][-3:] == ["d/a", "d/b", "close/u"]
+        report = await ReplaySession(journal).run()
+        assert report.conforms, report.divergences
+        assert [r.authorized for r in results] == [True, True]
+
+    asyncio.run(scenario())
+
+
 def test_replay_requires_a_configure_entry_first():
     journal = RequestJournal(SQLiteStore(":memory:"))
     journal.begin("k", "downgrade", {"session_id": "s", "query_name": "q"})
@@ -543,6 +582,89 @@ def test_sigkill_drill_child_process_dies_parent_recovers(tmp_path, kind):
         store.close()
 
     asyncio.run(recover())
+
+
+# ---------------------------------------------------------------------------
+# Compaction keeps what recovery and replay need
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("floor", [size_above(4000), None], ids=["ledger", "no-ledger"])
+def test_compaction_then_crash_recovers_queries_sessions_and_knowledge(tmp_path, floor):
+    """Compact, crash, boot a successor: the queries, ``s1`` and its
+    knowledge come back, and the next downgrade answers exactly as an
+    uncompacted control does (``inner`` narrows to 5,000, not 10,000)."""
+
+    async def run(name, compact):
+        store = SQLiteStore(tmp_path / f"{name}.db")
+        server = make_server(store, store=store, budget_floor=floor)
+        await boot(server)
+        server.open_session("s1", (SPEC, SECRET), user_id="alice")
+        for query_name in ("west", "south"):
+            assert (await server.downgrade("s1", query_name)).authorized
+        if compact:
+            assert server.journal.compact() > 0
+            assert server.journal.pending_count() == len(server.journal) == 0
+        # The process is "dead": boot a successor on the same store.
+        reborn = make_server(store, store=store, budget_floor=floor)
+        recovery = await reborn.recover_from_journal()
+        assert (recovery.queries, recovery.sessions, recovery.refolded) == (3, 1, 2)
+        result = await reborn.downgrade("s1", "inner")
+        reborn.shutdown()
+        report = await ReplaySession(RequestJournal(store)).run()
+        assert report.conforms, report.divergences
+        bounds = bounds_of(store)
+        store.close()
+        return result, bounds
+
+    control, control_bounds = asyncio.run(run("control", compact=False))
+    result, bounds = asyncio.run(run("compacted", compact=True))
+    assert result == control
+    assert result.authorized and result.knowledge_size == 5_000
+    assert bounds == control_bounds
+
+
+def test_a_journal_compacted_mid_history_replays_with_the_same_chain():
+    """Compaction mid-history keeps the audit chain: the compacted
+    journal's digest equals the uncompacted one's, and replay conforms,
+    including a floor refusal that depends on bounds from deleted rows."""
+
+    async def run(compact):
+        backend = SQLiteStore(":memory:")
+        server = make_server(
+            backend, store=backend, budget_decay=DecayPolicy(radius=1)
+        )
+        await boot(server)
+        server.open_session("s1", (SPEC, SECRET), user_id="alice")
+        server.open_session("b1", (SPEC, (150, 150)), user_id="bob")
+        for sid, query_name in (("s1", "west"), ("s1", "south"), ("b1", "west")):
+            await server.downgrade(sid, query_name)
+        if compact:
+            assert server.journal.compact() > 0
+        server.close_session("s1")
+        server.advance_epoch()
+        if compact:
+            assert server.journal.compact() > 0  # folds onto the first
+        # Alice's bound lives only in the checkpoint now: her new
+        # session is admitted against it, then refused by it.
+        server.open_session("s2", (SPEC, SECRET), user_id="alice")
+        assert (await server.downgrade("s2", "inner")).authorized
+        assert not (await server.downgrade("s2", "south")).authorized
+        assert (await server.downgrade("b1", "south")).authorized
+        server.shutdown()
+        journal = RequestJournal(backend)
+        return journal.audit_digest(), await ReplaySession(journal).run()
+
+    whole_digest, whole = asyncio.run(run(compact=False))
+    compacted_digest, compacted = asyncio.run(run(compact=True))
+    assert whole.conforms
+    assert compacted.conforms, compacted.divergences
+    assert compacted_digest == whole_digest
+    assert compacted.recorded_digest == compacted.replayed_digest == whole_digest
+    assert compacted.entries < whole.entries
+    assert [(r.session_id, r.query_name) for r in compacted.refusals] == [
+        ("s2", "south")
+    ]
 
 
 # ---------------------------------------------------------------------------
