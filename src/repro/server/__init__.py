@@ -42,11 +42,11 @@ layer ROADMAP's "heavy traffic" north star asks for:
 * :mod:`repro.server.faults` — deterministic, seeded fault injection
   (:class:`~repro.server.faults.FaultPlan`) driving the chaos suite
   through every failure point reproducibly;
-* :mod:`repro.server.journal` — a write-ahead
+* :mod:`repro.server.journal` — a
   :class:`~repro.server.journal.RequestJournal` of every state-changing
-  request, keyed by client idempotency keys, appended before execution
-  and acknowledged (atomically with the ledger's durable-mirror fold)
-  after it — exactly-once effects over at-least-once delivery;
+  request, keyed by client idempotency keys and written once it has
+  executed, atomically with the ledger's durable-mirror fold —
+  exactly-once effects over at-least-once delivery;
 * :mod:`repro.server.replay` — deterministic replay
   (:class:`~repro.server.replay.ReplaySession`): re-execute a recorded
   journal against a fresh twin and assert every decision, refusal, and
@@ -69,6 +69,7 @@ from repro.server.faults import FaultPlan, FaultSpec
 from repro.server.gateway import (
     DeclassificationServer,
     JournalRecovery,
+    JournalStopped,
     ServerCompileReceipt,
     ServerConfig,
     ServerDegraded,
@@ -130,6 +131,7 @@ from repro.server.workers import (
 __all__ = [
     "DeclassificationServer",
     "JournalRecovery",
+    "JournalStopped",
     "ServerCompileReceipt",
     "ServerConfig",
     "ServerDegraded",

@@ -19,6 +19,7 @@ condition                                 response
 ========================================  =====================================
 :class:`ServerDegraded`                   ``503`` + ``Retry-After`` header
 :class:`ServerOverloaded` / shard shed    ``503``
+:class:`JournalStopped`                   ``503`` until a successor recovers
 :class:`ShardFailure` (typed kinds)       ``502`` + ``exc.to_payload()`` body
 ``ValueError`` (malformed input)          ``400``
 invalid query (lex/parse/validation)      ``400``, never journaled
@@ -54,7 +55,7 @@ Routes (all JSON)::
     POST   /v1/downgrades  {session_id, query_name}         -> downgrade result
     POST   /v1/epochs      {epochs?}                        -> {"epoch": n}
     GET    /v1/audit                                        -> audit summary
-    GET    /v1/healthz      -> {"status", "degraded_fraction", ...}
+    GET    /v1/healthz      -> {"status", "degraded_fraction", "breakers_open"}
     GET    /statusz         -> gateway runtime introspection (JSON)
     GET    /metrics         -> Prometheus text exposition (text/plain)
 
@@ -92,6 +93,7 @@ from repro.monad.protected import ProtectedSecret
 from repro.obs.metrics import LazySeries
 from repro.server.gateway import (
     DeclassificationServer,
+    JournalStopped,
     ServerDegraded,
     ServerOverloaded,
 )
@@ -182,6 +184,8 @@ def _to_edge_error(exc: Exception) -> _EdgeError:
         )
     if isinstance(exc, (ServerOverloaded, ShardOverloaded)):
         return _EdgeError(503, {"error": "overloaded", "detail": str(exc)})
+    if isinstance(exc, JournalStopped):
+        return _EdgeError(503, {"error": "journal_stopped", "detail": str(exc)})
     if isinstance(exc, ShardFailure):
         return _EdgeError(502, {"error": "shard_failure", **exc.to_payload()})
     if isinstance(exc, (ValueError, LexError, ParseError, QueryValidationError)):
@@ -447,16 +451,25 @@ class HttpEdge:
         Each request must arrive in full within ``timeout`` of the edge
         starting to wait for it; otherwise the deadline cancels this
         task, which closes the connection (so does :meth:`stop`, for an
-        idle connection).
+        idle connection).  Either cancel ends the task normally: a
+        cancelled connection task would make Python 3.11's stream
+        protocol log its ``CancelledError`` as an error.
         """
         # asyncio sets TCP_NODELAY on every TCP transport it creates.
         task = asyncio.current_task()
         assert task is not None
         self._connections[task] = writer
         loop = asyncio.get_running_loop()
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
         try:
             while not self._stopping:
-                deadline = loop.call_later(self.timeout, task.cancel)
+                deadline = loop.call_later(self.timeout, expire)
                 self._idle.add(task)
                 try:
                     request = await _read_head(reader)
@@ -485,6 +498,9 @@ class HttpEdge:
                     break
         except OSError:
             pass  # the client went away
+        except asyncio.CancelledError:
+            if not (expired or self._stopping):
+                raise
         finally:
             del self._connections[task]
             try:
@@ -575,7 +591,8 @@ class HttpEdge:
         return path if path in known else "other"
 
     def _healthz_body(self) -> dict[str, Any]:
-        """Liveness plus the three signals that mean 'alive but hurting'."""
+        """Liveness plus the signals that mean 'alive but hurting'
+        (``status``: ``stopped`` journal, ``degraded`` shards, or ``ok``)."""
         server = self.server
         fraction = server.degraded_fraction()
         breakers_open = sum(
@@ -584,12 +601,11 @@ class HttpEdge:
             for info in shards.values()
             if info["state"] == "open"
         )
-        pending = 0 if server.journal is None else server.journal.pending_count()
+        status = "degraded" if fraction > 0.0 else "ok"
         return {
-            "status": "degraded" if fraction > 0.0 else "ok",
+            "status": "stopped" if server.journal_failure is not None else status,
             "degraded_fraction": fraction,
             "breakers_open": breakers_open,
-            "journal_pending": pending,
         }
 
     async def _route(

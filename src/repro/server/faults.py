@@ -66,12 +66,11 @@ __all__ = [
 #: worker in a chaos run is distinguishable from a genuine segfault.
 CRASH_EXIT_CODE = 13
 
-#: Every fault kind a :class:`FaultSpec` may carry.  The two
-#: ``crash_after_journal…``/``crash_after_execute…`` kinds target the
-#: write-ahead request journal's crash windows (fired at the gateway's
-#: ``"journal"`` site): after the append but before execution, and after
-#: execution (ledger folded) but before the acknowledgement — the two
-#: states recovery must converge from.
+#: Every fault kind a :class:`FaultSpec` may carry.
+#: ``crash_after_execute_before_ack`` targets the request journal's one
+#: crash window (fired at the gateway's ``"journal"`` site): after
+#: execution (ledger folded in memory) but before the request's durable
+#: write, which leaves nothing durable behind.
 FAULT_KINDS = (
     "crash_before_result",
     "crash_after_commit",
@@ -79,7 +78,6 @@ FAULT_KINDS = (
     "duplicate_delivery",
     "corrupt_payload",
     "db_locked",
-    "crash_after_journal_before_execute",
     "crash_after_execute_before_ack",
 )
 

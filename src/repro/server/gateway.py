@@ -45,8 +45,8 @@ runs through a :class:`~repro.server.core.ServingCore`.  By default
 :class:`~repro.service.session.SessionManager` and the ledger — run on
 the gateway's event loop: simple, and right for small deployments.  A
 gateway-local tick runs its batches back to back and never yields from
-its journal append to its last ack, so no other request runs in the
-middle of one.  With ``serving_shards=N`` the warm path moves off the
+its journal reservation to its last write, so no other request runs in
+the middle of one.  With ``serving_shards=N`` the warm path moves off the
 gateway entirely: sessions route by
 :func:`~repro.server.workers.serve_shard_of` over the durable user id to
 one of N single-process serving shards, each running a core over the
@@ -68,22 +68,23 @@ exactly that).
 
 With a :class:`~repro.server.journal.RequestJournal` attached the
 restart story extends to *requests in flight*.  Every state-changing
-request is appended (with an idempotency key) before executing and
-acknowledged after the durable-mirror fold, along one of two paths:
-downgrades batch per tick (one ``begin_many``/``ack_many`` per flush),
-and every lifecycle request — compile, open, close, epoch — runs through
-``DeclassificationServer._lifecycle``, to which its kind supplies only a
-payload, an executor, an outcome encoding and a recorded-response
-decoding.  Both paths have the same two kill points (after the append,
-before the ack; DESIGN.md §12 tabulates what each leaves behind).
-Duplicate deliveries short-circuit to recorded responses, and recovery
+request is one event-loop step ending in one durable write: reserve a
+sequence number in memory, execute, write the row done together with
+the ledger bounds it drained.  Downgrades reserve per flush and write
+per gateway-core job; every lifecycle request — compile, open, close,
+epoch — runs through ``DeclassificationServer._lifecycle``, to which its
+kind supplies only a payload, an executor and its codecs (a compile's
+artifact reaches the cache first, so ``_lifecycle`` never awaits).  A
+crash before the write leaves nothing durable (DESIGN.md §12); a failed
+write stops the journal (:class:`JournalStopped`).  Duplicate deliveries
+short-circuit to recorded responses, and recovery
 (:meth:`recover_from_journal`) and replay
 (:class:`~repro.server.replay.ReplaySession`) share one generation
-rebuild and one entry executor (:meth:`rebuild_generation`,
-:meth:`apply_entry`), so the acknowledged history replays bit for bit.
-A journaled server's durable ledger lives in the journal's own store, so
-every ack lands in one transaction with the bounds it justifies;
-construction refuses a ledger store other than ``journal.backend``.
+rebuild (:meth:`rebuild_generation`), so the written history replays
+bit for bit.  A journaled server's durable ledger lives in the journal's
+own store, so every row lands in one transaction with the bounds it
+justifies; construction refuses a ledger store other than
+``journal.backend``.
 
 The same durability split powers *mid-flight* recovery (see
 :mod:`repro.server.supervise` and DESIGN.md §10): every shard job runs
@@ -115,10 +116,9 @@ from repro.lang.canonical import (
     spec_from_json,
     spec_to_json,
 )
-from repro.lang.lexer import LexError
-from repro.lang.parser import ParseError, parse_bool
+from repro.lang.parser import parse_bool
 from repro.lang.secrets import SecretSpec, SecretValue
-from repro.lang.validate import QueryValidationError, validate_query
+from repro.lang.validate import validate_query
 from repro.monad.policy import QuantitativePolicy
 from repro.monad.protected import ProtectedSecret
 from repro.obs.hub import MetricsHub
@@ -127,7 +127,7 @@ from repro.obs.trace import span_id_for, trace_id_for
 from repro.server import faults
 from repro.server.core import ServingCore, result_kind
 from repro.server.faults import FaultPlan
-from repro.server.journal import JournalState, RequestJournal
+from repro.server.journal import JournalEntry, JournalState, RequestJournal
 from repro.server.ledger import DecayPolicy, PrivacyBudgetLedger
 from repro.server.supervise import RetryPolicy, ShardSupervisor
 from repro.server.workers import (
@@ -157,6 +157,7 @@ from repro.service.session import Session
 __all__ = [
     "ServerOverloaded",
     "ServerDegraded",
+    "JournalStopped",
     "ServerConfig",
     "ServerCompileReceipt",
     "ServerStats",
@@ -190,6 +191,12 @@ class ServerDegraded(ServerOverloaded):
     def __init__(self, message: str, *, retry_after: float = 0.0):
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class JournalStopped(RuntimeError):
+    """Memory ran ahead of the journal (a durable write failed after its
+    request executed, or a gateway-core job raised): every later
+    journaled request is refused until a successor recovers (DESIGN.md §12)."""
 
 
 @dataclass(frozen=True)
@@ -297,24 +304,20 @@ class ServerStats:
     degraded_compiles: int = 0
     #: Downgrades shed by the *degraded* (scaled-down) queue bound.
     degraded_shed: int = 0
-    #: Requests appended to the write-ahead journal.
+    #: Requests reserved a journal sequence number.
     journal_appends: int = 0
     #: Duplicate idempotency keys answered from the recorded response.
     journal_duplicates: int = 0
-    #: Pending journal entries re-applied by :meth:`recover_from_journal`.
-    journal_recovered: int = 0
 
 
 @dataclass(frozen=True)
 class JournalRecovery:
     """What one :meth:`~DeclassificationServer.recover_from_journal` did."""
 
-    #: Queries re-registered from acknowledged journal history.
+    #: Queries re-registered from written journal history.
     queries: int
-    #: Sessions re-opened from acknowledged journal history.
+    #: Sessions re-opened from written journal history.
     sessions: int
-    #: Unacknowledged entries re-applied through the journaled path.
-    reapplied: int
     #: Distinct authorized (session, query) pairs whose knowledge fold
     #: was rebuilt, making the recovered gateway a seamless continuation.
     refolded: int = 0
@@ -325,13 +328,13 @@ class _PendingDowngrade:
     session_id: str
     future: asyncio.Future = field(repr=False)
     #: Idempotency key of the journaled request this waiter carries
-    #: (``None`` on unjournaled servers and internal re-applies).
+    #: (``None`` on unjournaled servers).
     journal_key: str | None = None
-    #: The entry's sequence number, set when the tick's ``begin_many``
-    #: appends it (``None`` while queued and on unjournaled waiters).
-    journal_seq: int | None = None
+    #: The entry the tick's ``begin_many`` reserved for it (``None``
+    #: while queued and on unjournaled waiters).
+    journal_entry: JournalEntry | None = None
     #: Deterministic trace id (journaled: derived from key + seq at
-    #: append time; unjournaled: from a local monotone counter).
+    #: reservation; unjournaled: from a local monotone counter).
     trace_id: str | None = None
 
 
@@ -340,14 +343,6 @@ def _fail(waiters: list[_PendingDowngrade], exc: BaseException) -> None:
     for pending in waiters:
         if not pending.future.done():
             pending.future.set_exception(exc)
-
-
-#: What a request raises when it is invalid on its own terms: query text
-#: that does not lex or parse, a query outside the secret's fragment, an
-#: unknown or duplicate session, a malformed payload.  A journaled entry
-#: that raises one of these is skipped by recovery and replay — it stays
-#: pending, visible to the operator — instead of wedging every boot.
-REJECTED_REQUEST_ERRORS = (ValueError, KeyError, LexError, ParseError, QueryValidationError)
 
 
 def _configure_outcome(payload: dict[str, Any]) -> dict[str, Any]:
@@ -398,15 +393,6 @@ def _compile_outcome(
     return {"kind": "compile", "name": receipt.name, "verified": receipt.verified}
 
 
-async def _recorded_receipt(
-    _server: "DeclassificationServer",
-    _payload: dict[str, Any],
-    response: dict[str, Any],
-) -> ServerCompileReceipt:
-    """A duplicate compile's answer (async, like the executor it stands for)."""
-    return ServerCompileReceipt.from_json(response)
-
-
 def _open_session_payload(
     session_id: str, user: str, secret: ProtectedSecret
 ) -> dict[str, Any]:
@@ -432,7 +418,7 @@ def _sealed(payload: dict[str, Any]) -> ProtectedSecret:
 class _Lifecycle(NamedTuple):
     """How one journaled lifecycle kind encodes what it did.
 
-    ``outcome(payload, result)`` is the deterministic encoding the ack
+    ``outcome(payload, result)`` is the deterministic encoding the write
     digests and replay recomputes; ``recorded(server, payload,
     response)`` answers a duplicate; ``response(result)`` is the
     recorded response (``None``: the outcome doubles as it).
@@ -446,7 +432,9 @@ class _Lifecycle(NamedTuple):
 _LIFECYCLE: dict[str, _Lifecycle] = {
     "compile": _Lifecycle(
         outcome=_compile_outcome,
-        recorded=_recorded_receipt,
+        recorded=lambda _server, _payload, response: (
+            ServerCompileReceipt.from_json(response)
+        ),
         response=ServerCompileReceipt.to_json,
     ),
     "open_session": _Lifecycle(
@@ -524,7 +512,7 @@ class DeclassificationServer:
             and ledger_store is not None
             and ledger_store is not journal.backend
         ):
-            # Exactly-once needs each bound in its ack's transaction
+            # Exactly-once needs each bound in its row's transaction
             # (DESIGN.md §12): refuse before anything is written.
             raise ValueError(
                 "a journaled server's durable ledger must live in the "
@@ -592,8 +580,11 @@ class DeclassificationServer:
         self._shard_configured: set[int] = set()
         #: Query names attached (artifact shipped) per serving shard.
         self._shard_queries: dict[int, set[str]] = {}
-        #: The write-ahead request journal (None = unjournaled server).
+        #: The request journal (None = unjournaled server).
         self.journal = journal
+        #: The failure that stopped the journal (None while it runs); see
+        #: :class:`JournalStopped`.
+        self.journal_failure: BaseException | None = None
         if journal is not None:
             journal.metrics = self.hub.registry
         #: Monotone counter deriving trace ids on unjournaled servers.
@@ -605,8 +596,8 @@ class DeclassificationServer:
         if journal is not None:
             if self.ledger is not None:
                 # The durable mirror shares the journal's store, so every
-                # ack drains the buffered bounds into its own transaction
-                # (:meth:`_drained_bounds`).
+                # journal write drains the buffered bounds into its own
+                # transaction (:meth:`_drained_bounds`).
                 self.ledger.buffer_writes()
             self._journal_configure()
             self.service.audit.spill = journal.spill_audit
@@ -641,10 +632,12 @@ class DeclassificationServer:
         The query is parsed and validated against its secret first: an
         invalid request (``LexError``/``ParseError``/
         ``QueryValidationError``) is refused before anything is
-        journaled, like a shed one.  On a journaled server the request
-        then runs through :meth:`_lifecycle` — a duplicate
-        ``idempotency_key`` returns the recorded receipt without
-        re-executing.  Raises
+        journaled, like a shed one.  On a journaled server a duplicate
+        ``idempotency_key`` then returns the recorded receipt before
+        anything runs.  Otherwise the artifact is compiled (or coalesced)
+        into the cache — pure and content-addressed, so it needs no
+        journal entry — and registering it is the journaled step, run
+        through :meth:`_lifecycle`.  Raises
         :class:`~repro.server.workers.ShardOverloaded` when the shard
         sheds the job.
         """
@@ -655,15 +648,27 @@ class DeclassificationServer:
         )
         validate_query(query, request.secret)
         request = replace(request, query=query)
-        return await self._lifecycle(
+        key = idempotency_key
+        if self.journal is not None:
+            self._refuse_if_stopped()
+            key = key or self.journal.auto_key("compile")
+            recorded = self.journal.recorded_response(key)
+            if recorded is not None:
+                self.stats.journal_duplicates += 1
+                return ServerCompileReceipt.from_json(recorded)
+        compiled = await self._compile(request)
+        return self._lifecycle(
             "compile",
             _compile_payload(request),
-            idempotency_key,
-            lambda: self._register_query(request),
+            key,
+            lambda: self._register(*compiled),
         )
 
-    async def _register_query(self, request: CompileRequest) -> ServerCompileReceipt:
-        """The compile executor (cache → coalesce → shard), query parsed.
+    async def _compile(
+        self, request: CompileRequest
+    ) -> tuple[CompileRequest, str, int | None]:
+        """Put a parsed request's artifact in the cache; returns the
+        request with its options and the mechanism and shard that paid.
 
         Resolution order: (1) the shared cache (memory, warm-started from
         the store) — a lookup; (2) an identical canonical problem already
@@ -673,9 +678,8 @@ class DeclassificationServer:
         options = (
             request.options if request.options is not None else self.default_options
         )
-        query = request.query
         request = replace(request, options=options)
-        key = self.cache.key_for(query, request.secret, options)
+        key = self.cache.key_for(request.query, request.secret, options)
         shard = None
         inflight = self._inflight.get(key)
         if key in self.cache:
@@ -687,11 +691,17 @@ class DeclassificationServer:
             self.stats.compile_coalesced += 1
         else:
             outcome = "compiled"
-            shard = self.pool.shard_for(query)
+            shard = self.pool.shard_for(request.query)
             await self._compile_into_cache(key, request, shard)
             self.stats.compiles += 1
-        receipt = self.service.register_query(request)
         self._count_compile(outcome)
+        return request, outcome, shard
+
+    def _register(
+        self, request: CompileRequest, outcome: str, shard: int | None
+    ) -> ServerCompileReceipt:
+        """The compile executor: register the cached artifact by name."""
+        receipt = self.service.register_query(request)
         return ServerCompileReceipt(
             name=receipt.name,
             cache_hit=outcome == "cache_hit",
@@ -1043,12 +1053,12 @@ class DeclassificationServer:
         earliest breaker probe — the degraded path keeps answering, but
         it must not be asked to absorb a healthy fleet's queue depth.
 
-        On a journaled server the request is appended (batched, at
-        flush) before its batch executes and acknowledged after the
-        durable-mirror fold.  A duplicate ``idempotency_key`` returns
-        the recorded result — or awaits the in-flight one — instead of
-        charging the budget twice.  Shed requests change no state and
-        are never journaled.
+        On a journaled server the request's sequence number is reserved
+        at flush, and its row is written after its batch executed,
+        together with the ledger bounds the batch drained.  A duplicate
+        ``idempotency_key`` returns the recorded result — or awaits the
+        in-flight one — instead of charging the budget twice.  Shed
+        requests change no state and are never journaled.
         """
         return await self._downgrade(session_id, query_name, idempotency_key)
 
@@ -1064,6 +1074,7 @@ class DeclassificationServer:
             return await self._enqueue_downgrade(
                 session_id, query_name, trace_id=trace_id
             ).future
+        self._refuse_if_stopped()
         key = key or self.journal.auto_key("downgrade")
         recorded = self.journal.recorded_response(key)
         if recorded is not None:
@@ -1094,7 +1105,7 @@ class DeclassificationServer:
 
         ``trace_id`` pins the request to an externally derived trace (a
         replay twin re-executing a journaled history); otherwise
-        journaled requests get theirs at append time and unjournaled
+        journaled requests get theirs at reservation and unjournaled
         ones from the local counter.
         """
         bound = self.config.max_queued_downgrades
@@ -1151,17 +1162,13 @@ class DeclassificationServer:
     def _journal_begin_downgrades(
         self, queue: dict[str, list[_PendingDowngrade]]
     ) -> None:
-        """Append the journal entries for a tick's downgrades (batched).
+        """Reserve the journal entries for a tick's downgrades (batched).
 
-        One durable transaction per tick, in queue order (so sequence
-        numbers do not depend on how the tick is partitioned into jobs),
-        *before* any of these waiters executes — the write-ahead half of
-        the journal contract.  Each waiter is begun exactly once, by the
-        flush that dequeued it; re-begins after a crashed flush resolve
-        to the existing pending rows (same seq).
-        The after-journal crash point fires here, so an injected crash
-        lands on exactly the journaled-but-unexecuted state recovery
-        must handle.
+        One read and no write, in queue order (so sequence numbers do
+        not depend on how the tick is partitioned into jobs), before any
+        of these waiters executes.  Each waiter is begun exactly once, by
+        the flush that dequeued it; its row is written by
+        :meth:`_journal_ack_downgrades` once its job has executed.
         """
         if self.journal is None:
             return
@@ -1185,7 +1192,7 @@ class DeclassificationServer:
         if items:
             entries = self.journal.begin_many(items)
             for (pending, query_name), entry in zip(pendings, entries):
-                pending.journal_seq = entry.seq
+                pending.journal_entry = entry
                 if self.hub.enabled and pending.trace_id is None:
                     self._assign_trace(
                         pending,
@@ -1193,45 +1200,70 @@ class DeclassificationServer:
                         trace_id_for(pending.journal_key, entry.seq),
                     )
             self.stats.journal_appends += len(items)
-        faults.maybe_crash("journal", "crash_after_journal_before_execute")
 
     def _journal_ack_downgrades(
         self, acks: list[tuple[_PendingDowngrade, DowngradeResult]]
     ) -> None:
-        """Acknowledge a group's executed downgrades (batched).
-
-        Runs after the batch executed and its ledger deltas reached the
-        durable mirror, *before* any waiter resolves: by the time a
-        client sees a result, its journal entry is done.  The before-ack
-        crash point fires here — the executed-but-unacked window, where
-        recovery re-executes and the ledger's monotone folds make the
-        re-execution converge.
-        """
+        """Write a job's executed downgrades done: one transaction, with
+        the ledger-mirror bounds the job drained, *before* any waiter
+        resolves, so by the time a client sees a result its row is
+        written."""
         if self.journal is None:
             return
-        faults.maybe_crash("journal", "crash_after_execute_before_ack")
-        self.journal.ack_many(
-            [
-                (pending.journal_seq, downgrade_result_to_json(result))
-                for pending, result in acks
-                if pending.journal_seq is not None
-            ],
-            bounds=self._drained_bounds(),
+        self._refuse_if_stopped()
+        journal = self.journal
+        self._journal_write(
+            lambda: journal.ack_many(
+                [
+                    (pending.journal_entry, downgrade_result_to_json(result))
+                    for pending, result in acks
+                    if pending.journal_entry is not None
+                ],
+                bounds=self._drained_bounds(),
+            )
         )
 
+    def _journal_write(self, write: Callable[[], Any]) -> None:
+        """Fire the before-write kill point, then make one durable write.
+
+        A crash there leaves nothing durable: the client's retry re-runs
+        the request from the same prior.  A write that fails stops the
+        journal.
+        """
+        try:
+            faults.maybe_crash("journal", "crash_after_execute_before_ack")
+            write()
+        except Exception as exc:
+            self._stop_journal(exc)
+            raise
+
+    def _stop_journal(self, exc: BaseException) -> None:
+        """Record that memory ran ahead of the journal: buffered ledger
+        effects may have no row, so no later write may drain them."""
+        if self.journal is not None and self.journal_failure is None:
+            self.journal_failure = exc
+
+    def _refuse_if_stopped(self) -> None:
+        """Raise :class:`JournalStopped` once the journal has stopped."""
+        if self.journal_failure is not None:
+            raise JournalStopped(
+                f"the journal stopped after {self.journal_failure!r}; boot "
+                "a successor on the store and recover from the journal"
+            )
+
     def _drained_bounds(self) -> list[tuple[str, str, dict[str, Any]]]:
-        """Buffered ledger-mirror writes to land atomically with an ack
-        (``[]`` without a durable ledger)."""
+        """Buffered ledger-mirror writes to land atomically with a journal
+        row (``[]`` without a durable ledger)."""
         return [] if self.ledger is None else self.ledger.drain_writes()
 
     async def flush(self) -> int:
         """Serve everything queued; returns how many waiters were served.
 
         The tick is partitioned into jobs — one per query group on the
-        gateway core, or one per serving shard — journaled by one
-        write-ahead ``begin_many``, and resolved by :meth:`_resolve`.
-        Once it holds the flush lock, a gateway-local tick runs to its
-        last ack as one step of the event loop: lifecycle calls, scrapes
+        gateway core, or one per serving shard — reserved in the journal
+        by one ``begin_many``, and resolved by :meth:`_resolve`.  Once it
+        holds the flush lock, a gateway-local tick runs to its last
+        write as one step of the event loop: lifecycle calls, scrapes
         and new arrivals wait for it to end, so journal order is
         execution order.
         """
@@ -1246,10 +1278,8 @@ class DeclassificationServer:
             try:
                 self._journal_begin_downgrades(queue)
             except Exception as exc:
-                # The write-ahead append itself failed (or an injected
-                # crash fired): nothing executed, so every waiter fails
-                # now and the journal holds whatever prefix the
-                # transaction left.
+                # The reservation's read failed: nothing executed, so
+                # every waiter fails now.
                 for waiters in queue.values():
                     _fail(waiters, exc)
                 return 0
@@ -1288,14 +1318,15 @@ class DeclassificationServer:
 
         Gateway-core jobs run inline, one after another, so each ledger
         commit follows its own round's admission and a gateway-local
-        tick never yields between its ``begin_many`` and its last ack.
+        tick never yields between its ``begin_many`` and its last write.
         Shard jobs all start at once and run concurrently.  Per job, in
-        order: acknowledge its journal entries (after its ledger fold),
-        count it, record one ``batch`` audit event for each query group
-        whose last job this is, and resolve its waiters.  A job that
-        raises fails only its own waiters; later jobs are still served.
-        Only an awaited shard job can be cancelled: the unfinished jobs
-        are then cancelled together with their waiters.
+        order: write its journal rows (after its ledger fold), count it,
+        record one ``batch`` audit event for each query group whose last
+        job this is, and resolve its waiters.  A job that raises fails
+        only its own waiters; later jobs are still served, unless the
+        failure stopped the journal (a journaled gateway-core job that
+        raises does).  Only an awaited shard job can be cancelled: the
+        unfinished jobs are then cancelled together with their waiters.
         """
         tasks: list[asyncio.Future | None] = [
             None if shard is None else asyncio.ensure_future(
@@ -1320,6 +1351,8 @@ class DeclassificationServer:
             waiters = [pending for _name, group in groups for pending in group]
             try:
                 task = tasks[index]
+                if task is None:
+                    self._refuse_if_stopped()
                 by_key = (
                     self._serve_on_gateway(groups) if task is None else await task
                 )
@@ -1342,9 +1375,11 @@ class DeclassificationServer:
                     audit_batch(query_name)
                 raise
             except Exception as exc:
-                # Executed-but-unacked failures leave their entries
-                # pending: recovery re-executes them, and the monotone
-                # ledger folds converge.
+                # Nothing of this job is durable: its clients' retries
+                # re-run it from the same prior.  A gateway-core job that
+                # raised left memory ahead of the journal.
+                if task is None:
+                    self._stop_journal(exc)
                 _fail(waiters, exc)
                 by_key = None
             else:
@@ -1609,11 +1644,6 @@ class DeclassificationServer:
         )
         for name, value in vars(self.stats).items():
             stat.labels(stat=name).set(float(value))
-        if self.journal is not None:
-            registry.gauge(
-                "anosy_journal_pending",
-                "Journal entries appended but not yet acknowledged.",
-            ).set(self.journal.pending_count())
 
     def degraded_fraction(self) -> float:
         """Fraction of serving shards with an open breaker (0.0 without shards)."""
@@ -1628,14 +1658,14 @@ class DeclassificationServer:
         return len(self._shard_sessions)
 
     def _journal_summary(self) -> dict[str, int] | None:
-        """Journal size, backlog and traffic counts (O(1): no row decode)."""
+        """Journal size, traffic counts and whether it stopped (no row decode)."""
         if self.journal is None:
             return None
         return {
             "entries": len(self.journal),
-            "pending": self.journal.pending_count(),
             "appends": self.stats.journal_appends,
             "duplicates": self.stats.journal_duplicates,
+            "stopped": self.journal_failure is not None,
         }
 
     def metrics_text(self) -> str:
@@ -1678,42 +1708,36 @@ class DeclassificationServer:
         key: str | None,
         execute: Callable[[], Any],
     ) -> Any:
-        """Run one lifecycle request (compile/open/close/epoch) write-ahead.
+        """Run one lifecycle request (compile/open/close/epoch), journaled.
 
-        The one journaled path every lifecycle kind shares: append the
-        entry under *key* (or find it), answer a duplicate from its
-        recorded response, fire the after-journal kill point, execute,
-        fire the before-ack kill point, then acknowledge with the kind's
-        outcome encoding and the drained ledger-mirror writes (DESIGN.md
-        §12 names what each kill point leaves behind).  Unjournaled
-        servers just execute.  An async executor (compiles) makes the
-        call awaitable; its ack then runs once the executor completes.
+        The one journaled path every lifecycle kind shares, one step of
+        the event loop that never awaits: reserve the entry under *key*
+        (or answer a duplicate from its recorded response), execute, fire
+        the before-write kill point, then write the row done with the
+        kind's outcome encoding and the drained ledger-mirror writes in
+        one transaction (DESIGN.md §12).  An executor that raises writes
+        nothing; a write that fails stops the journal.  Unjournaled
+        servers just execute.
         """
         if self.journal is None:
             return execute()
+        self._refuse_if_stopped()
         journal, codec = self.journal, _LIFECYCLE[kind]
         entry = journal.begin(key or journal.auto_key(kind), kind, payload)
         if entry.status == "done":
             self.stats.journal_duplicates += 1
             return codec.recorded(self, payload, entry.response)
         self.stats.journal_appends += 1
-
-        def ack(result: Any) -> Any:
-            faults.maybe_crash("journal", "crash_after_execute_before_ack")
-            journal.ack(
-                entry.seq,
+        result = execute()
+        self._journal_write(
+            lambda: journal.ack(
+                entry,
                 codec.outcome(payload, result),
                 response=None if codec.response is None else codec.response(result),
                 bounds=self._drained_bounds(),
             )
-            return result
-
-        async def ack_when_done(pending: Any) -> Any:
-            return ack(await pending)
-
-        faults.maybe_crash("journal", "crash_after_journal_before_execute")
-        result = execute()
-        return ack_when_done(result) if asyncio.iscoroutine(result) else ack(result)
+        )
+        return result
 
     def _journal_configure(self) -> None:
         """Journal this server's configuration as entry zero (idempotent).
@@ -1722,8 +1746,8 @@ class DeclassificationServer:
         *this* gateway (policies, floor, decay, mode, options), and its
         key is its own digest — a restart with an unchanged config
         short-circuits to the recorded entry, while a config change
-        appends a new configure entry that marks the restart boundary
-        for replay.
+        writes a new configure entry that marks the restart boundary for
+        replay.
         """
         assert self.journal is not None
         payload = self._configure_payload()
@@ -1731,7 +1755,7 @@ class DeclassificationServer:
         entry = self.journal.begin(key, "configure", payload)
         if entry.status != "done":
             self.stats.journal_appends += 1
-            self.journal.ack(entry.seq, _configure_outcome(payload))
+            self.journal.ack(entry, _configure_outcome(payload))
 
     def _configure_payload(self) -> dict[str, Any]:
         """The journaled configuration encoding (replay rebuilds from it)."""
@@ -1791,9 +1815,7 @@ class DeclassificationServer:
     ) -> dict[str, Any]:
         """Execute one journal-entry payload; returns its outcome encoding.
 
-        The shared execution surface of recovery (re-applying a pending
-        suffix under each entry's own key, so the re-run acks the
-        original row) and replay (re-executing a history on an
+        The execution surface of replay (re-executing a history on an
         unjournaled twin).  Each kind decodes its payload and runs its
         public request path, so the returned encoding is exactly what the
         original execution digested (its ``outcome_digest``).
@@ -1853,7 +1875,7 @@ class DeclassificationServer:
         rehydration rebuilds their knowledge.
         """
         for payload in state.compiles.values():
-            await self._register_query(_compile_request(payload))
+            self._register(*await self._compile(_compile_request(payload)))
         for payload in state.sessions.values():
             if self._session_handle(payload["session_id"]) is None:
                 self._open_session(
@@ -1870,45 +1892,22 @@ class DeclassificationServer:
         return JournalRecovery(
             queries=len(state.compiles),
             sessions=len(state.sessions),
-            reapplied=0,
             refolded=refolded,
         )
 
     async def recover_from_journal(self) -> JournalRecovery:
         """Converge this freshly booted server onto its journal's state.
 
-        Two phases.  (1) :meth:`rebuild_generation` from the whole
-        journal, its compaction checkpoint included.  (2) Re-apply the
-        *pending* suffix — requests a dead process journaled but never
-        acknowledged — through :meth:`apply_entry` under each entry's
-        original key, so the re-run acknowledges the original row.  A pending request that
-        had already executed re-executes; the ledger's monotone
-        intersection folds make that converge to exactly the state an
-        uninterrupted run reaches.  Duplicate client retries afterwards
-        short-circuit to the recorded responses.
-
-        A pending entry that is invalid on its own terms
-        (:data:`REJECTED_REQUEST_ERRORS`: an unknown session, a query
-        outside its secret's fragment, a malformed payload) is skipped
-        and stays pending — visibly, for the operator — rather than
-        wedging every boot.
+        One phase: :meth:`rebuild_generation` from the whole journal, its
+        compaction checkpoint included.  Each row lands with its ledger
+        bounds, so a request that died before its write left nothing and
+        its client's retry re-runs it from the same prior.  A pending row
+        an earlier, write-ahead version left is skipped (a retry of its
+        key replaces it).
         """
         if self.journal is None:
             raise ValueError("recover_from_journal requires a journaled server")
-        rebuilt = await self.rebuild_generation(self.journal.state())
-        reapplied = 0
-        for entry in self.journal.pending():
-            if entry.kind == "configure":
-                continue
-            try:
-                await self.apply_entry(
-                    entry.kind, entry.payload, idempotency_key=entry.key
-                )
-            except REJECTED_REQUEST_ERRORS:
-                continue
-            reapplied += 1
-        self.stats.journal_recovered += reapplied
-        return replace(rebuilt, reapplied=reapplied)
+        return await self.rebuild_generation(self.journal.state())
 
     # -- start / stop ----------------------------------------------------------
     async def start(self) -> None:
@@ -1924,13 +1923,8 @@ class DeclassificationServer:
     def shutdown(self) -> None:
         """Tear down the shard processes.  The store (if any) is the
         caller's to close; compiled artifacts and ledger bounds are
-        already persisted."""
-        # Straggler mirror writes whose batch never acked (a failed
-        # flush, an injected fault): persist them now so a clean
-        # shutdown loses nothing.  Crash-path stragglers are covered by
-        # recovery re-executing the unacked suffix instead.
-        for user_id, spec_name, payload in self._drained_bounds():
-            self.ledger.store.put_ledger_bound(user_id, spec_name, payload)
+        already persisted (a journaled server's bounds only together with
+        their rows)."""
         self.pool.shutdown()
         if self.serving_pool is not None:
             self.serving_pool.shutdown()

@@ -1,26 +1,28 @@
-"""The write-ahead request journal: crash consistency for the gateway.
+"""The request journal: crash consistency for the gateway.
 
 PR 7 made the runtime survive its *shards*; this module makes it survive
 its *gateway*.  The durable store already holds everything the runtime
 must not lose slowly (artifacts, ledger bounds); the journal holds what
-it must not lose *mid-request*: every state-changing request
-(configure / compile / open / close / epoch / downgrade) is appended —
-with a client-supplied **idempotency key** and a monotone sequence
-number — *before* it executes, and acknowledged with a digest of its
-outcome after the durable-mirror fold.  Three properties fall out:
+it must not lose *per request*: every state-changing request
+(configure / compile / open / close / epoch / downgrade) is reserved a
+monotone sequence number under a client-supplied **idempotency key**,
+executes, and is then written already done — with a digest of its
+outcome and the ledger bounds it drained — in one durable transaction.
+Three properties fall out:
 
 * **exactly-once effects over at-least-once delivery** — a duplicate
   idempotency key short-circuits to the recorded response instead of
   re-executing, so a client that retries after a lost response never
   double-charges a budget (this subsumes the ``duplicate_delivery``
   fault at the network edge);
-* **crash recovery** — after a gateway death, the unacknowledged
-  journal suffix is re-applied through the same idempotent machinery
+* **crash recovery** — a request's row and its ledger bounds land in
+  one transaction, so a gateway death leaves either both or neither;
+  a successor rebuilds the live state the written rows imply
   (:meth:`DeclassificationServer.recover_from_journal
-  <repro.server.gateway.DeclassificationServer.recover_from_journal>`);
-  ledger folds are monotone intersections, so a request that executed
-  but never acked converges to the same ledger state on re-execution;
-* **deterministic replay** — the acknowledged prefix, re-executed in
+  <repro.server.gateway.DeclassificationServer.recover_from_journal>`),
+  and a request that died unwritten is re-run from the same prior by
+  the client's retry;
+* **deterministic replay** — the written history, re-executed in
   sequence order against a fresh gateway, must reproduce every outcome
   digest bit-for-bit (:class:`~repro.server.replay.ReplaySession`).
 
@@ -67,14 +69,16 @@ _CHAIN_SEED = "anosy-journal-v1"
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One journaled request: identity, payload, and (once acked) outcome.
+    """One journaled request: identity, payload, and (once written) outcome.
 
-    ``status`` is ``"pending"`` from append until acknowledgement and
-    ``"done"`` after; ``outcome_digest`` / ``response`` are ``None``
-    exactly while pending.  ``response`` is the full recorded response
-    payload returned to duplicate deliveries; ``outcome_digest`` covers
-    only the *deterministic* outcome encoding (see DESIGN.md §12 for
-    what is pinned and what may differ).
+    ``status`` is ``"done"`` for a written row and ``"reserved"`` for an
+    entry :meth:`RequestJournal.begin` holds in memory until
+    :meth:`RequestJournal.ack` writes it; ``"pending"`` rows exist only
+    in stores of the earlier write-ahead journal (requests that never
+    answered their client).  ``outcome_digest`` / ``response`` are
+    ``None`` exactly while not done.  ``response`` is the full recorded
+    response returned to duplicate deliveries; ``outcome_digest`` covers
+    only the *deterministic* outcome encoding (DESIGN.md §12).
     """
 
     seq: int
@@ -86,28 +90,22 @@ class JournalEntry:
     response: dict[str, Any] | None = None
 
 
-_APPEND_SECONDS = LazySeries(
-    "histogram",
-    "anosy_journal_append_seconds",
-    "Durable write-ahead append latency, per begin transaction.",
-    channel="timing",
-)
 _APPENDS_TOTAL = LazySeries(
     "counter",
     "anosy_journal_appends_total",
-    "Requests journaled before execution.",
+    "Requests reserved a journal sequence number before execution.",
 )
 _ACK_SECONDS = LazySeries(
     "histogram",
     "anosy_journal_ack_seconds",
-    "Durable acknowledgement latency, per ack transaction "
-    "(ledger-mirror bounds included when fused).",
+    "Durable write latency, per journal transaction (executed rows and "
+    "the ledger-mirror bounds they drained).",
     channel="timing",
 )
 _ACKS_TOTAL = LazySeries(
     "counter",
     "anosy_journal_acks_total",
-    "Executed requests acknowledged in the journal.",
+    "Executed requests written to the journal.",
 )
 
 #: Raw backend row: (seq, key, kind, payload_json, status, digest, response_json).
@@ -120,24 +118,19 @@ class JournalBackend(Protocol):
 
     :class:`~repro.server.store.SQLiteStore` implements this against its
     ``request_journal``, ``ledger_bounds`` and ``audit_spill`` tables.
-    Rows are never mutated except by :meth:`journal_ack_many`
-    (pending → done) and never deleted except by :meth:`journal_compact`,
-    which leaves a checkpoint of what it deleted in their place.
+    Rows are written once, already done, by :meth:`journal_write`; only a
+    retry of a key whose row is not done replaces it, and only
+    :meth:`journal_compact` deletes rows, leaving a checkpoint of what it
+    deleted in their place.
     """
 
-    def journal_append_many(
-        self, items: list[tuple[str, str, str]]
-    ) -> list[_Row]:
-        """Insert one pending row per new key, or return the existing row
-        (one durable transaction)."""
-        ...
-
-    def journal_ack_many(
+    def journal_write(
         self,
-        items: list[tuple[int, str, str]],
+        rows: list[tuple[int, str, str, str, str, str]],
         bounds: Iterable[tuple[str, str, dict[str, Any]]] = (),
     ) -> None:
-        """Mark rows done, recording outcome digest and response, and put
+        """Insert ``(seq, key, kind, payload_json, digest, response_json)``
+        rows as done, replacing a not-done row under the same key, and put
         the ledger *bounds* in the same durable transaction."""
         ...
 
@@ -145,20 +138,20 @@ class JournalBackend(Protocol):
         """Persist audit events evicted from the in-memory ring."""
         ...
 
-    def journal_lookup(self, key: str) -> _Row | None:
-        """The row under *key*, or ``None``."""
+    def journal_lookup(self, keys: list[str]) -> list[_Row]:
+        """The rows under *keys*, in one read."""
         ...
 
     def journal_entries(self) -> list[_Row]:
         """Every row, in sequence order."""
         ...
 
-    def journal_counts(self) -> tuple[int, int]:
-        """``(rows, pending rows)`` without reading any row's payload."""
+    def journal_count(self) -> int:
+        """Number of rows, without reading any row's payload."""
         ...
 
     def journal_next_seq(self) -> int:
-        """One past the highest sequence number ever issued."""
+        """One past the highest sequence number ever written."""
         ...
 
     def journal_checkpoint(self) -> str | None:
@@ -166,8 +159,8 @@ class JournalBackend(Protocol):
         ...
 
     def journal_compact(self, seqs: list[int], checkpoint: str) -> int:
-        """Store *checkpoint* and delete the acknowledged rows among
-        *seqs*, in one durable transaction; return the count deleted."""
+        """Store *checkpoint* and delete the done rows among *seqs*, in
+        one durable transaction; return the count deleted."""
         ...
 
     def ledger_bounds(self) -> Iterable[tuple[str, str, dict[str, Any]]]:
@@ -189,28 +182,36 @@ def _decode_row(row: _Row) -> JournalEntry:
 
 
 class RequestJournal:
-    """The gateway's write-ahead log, typed.
+    """The gateway's request journal, typed.
 
-    Wraps a :class:`JournalBackend` with the append/ack discipline the
-    gateway follows (see DESIGN.md §12): :meth:`begin` *before*
-    execution, :meth:`ack` after the durable-mirror fold, duplicate
-    keys answered from :meth:`recorded_response`.  Also the spill sink
-    for the bounded in-memory audit trail (:meth:`spill_audit`) and the
-    source :class:`~repro.server.replay.ReplaySession` reads.
+    Wraps a :class:`JournalBackend` with the discipline the gateway
+    follows (see DESIGN.md §12): :meth:`begin` reserves a sequence number
+    before execution and writes nothing, :meth:`ack` writes the executed
+    request done together with the drained ledger-mirror bounds, and
+    duplicate keys are answered from :meth:`recorded_response`.  Also the
+    spill sink for the bounded in-memory audit trail (:meth:`spill_audit`)
+    and the source :class:`~repro.server.replay.ReplaySession` reads.
+
+    The journal has one writer, so sequence numbers come from an
+    in-memory counter booted from the store's high-water mark.  A
+    reservation that is never written (a shed, invalid or failed request)
+    leaves a gap in the sequence, which recovery, replay and compaction
+    all accept.
     """
 
     def __init__(self, backend: JournalBackend):
         self.backend = backend
-        #: Where append/ack latency and volume land; the owning gateway
-        #: swaps in its hub's registry (see ``DeclassificationServer``).
+        #: Where reservation/write latency and volume land; the owning
+        #: gateway swaps in its hub's registry (see ``DeclassificationServer``).
         self.metrics: Any = NULL_REGISTRY
         self._lock = threading.Lock()
+        self._next_seq = backend.journal_next_seq()
         # Auto-keys (server-generated, for callers that did not supply
         # one) count up from a boot floor above both the sequence
         # high-water mark and every auto key already journaled, so a
         # restarted process never reissues a dead process's keys (which
         # would silently short-circuit to the dead request's response).
-        floor = backend.journal_next_seq()
+        floor = self._next_seq
         for row in backend.journal_entries():
             key = row[1]
             if key.startswith("auto/"):
@@ -228,57 +229,69 @@ class RequestJournal:
         return f"auto/{kind}/{n}"
 
     def begin(self, key: str, kind: str, payload: dict[str, Any]) -> JournalEntry:
-        """Journal one request before executing it.
+        """Reserve one request's sequence number before executing it.
 
-        Returns the (new or pre-existing) entry.  A returned entry with
-        ``status == "done"`` means this key already executed to
-        acknowledgement: short-circuit to its ``response`` instead of
-        executing again.
+        Returns the recorded entry when the key is already written
+        (``status == "done"``: short-circuit to its ``response`` instead
+        of executing again), else a ``"reserved"`` entry for :meth:`ack`.
         """
         return self.begin_many([(key, kind, payload)])[0]
 
     def begin_many(
         self, items: list[tuple[str, str, dict[str, Any]]]
     ) -> list[JournalEntry]:
-        """Batched :meth:`begin` — one durable transaction per tick."""
+        """Batched :meth:`begin`: one read, and no write.
+
+        The read answers the keys already written done.  Every other key
+        is numbered from the in-memory counter; a key repeated within
+        *items* shares one reservation.
+        """
         if not items:
             return []
-        start = time.perf_counter()
-        rows = self.backend.journal_append_many(
-            [(key, kind, canonical_json(payload)) for key, kind, payload in items]
-        )
+        done = {
+            row[1]: _decode_row(row)
+            for row in self.backend.journal_lookup([key for key, _k, _p in items])
+            if row[4] == "done"
+        }
+        fresh: dict[str, JournalEntry] = {}
+        with self._lock:
+            for key, kind, payload in items:
+                if key not in done and key not in fresh:
+                    fresh[key] = JournalEntry(
+                        self._next_seq, key, kind, payload, "reserved"
+                    )
+                    self._next_seq += 1
         metrics = self.metrics
-        if metrics:
-            _APPEND_SECONDS(metrics).observe(time.perf_counter() - start)
-            _APPENDS_TOTAL(metrics).inc(len(rows))
-        return [_decode_row(row) for row in rows]
+        if metrics and fresh:
+            _APPENDS_TOTAL(metrics).inc(len(fresh))
+        return [done.get(key) or fresh[key] for key, _kind, _payload in items]
 
     def ack(
         self,
-        seq: int,
+        entry: JournalEntry,
         outcome: dict[str, Any],
         *,
         response: dict[str, Any] | None = None,
         bounds: list[tuple[str, str, dict[str, Any]]] | None = None,
     ) -> str:
-        """Acknowledge one executed request; returns its outcome digest.
+        """Write one executed request done; returns its outcome digest.
 
         *outcome* is the deterministic encoding the digest covers (and
         replay recomputes); *response* is what duplicate deliveries get
         back, defaulting to the outcome itself.  *bounds* are drained
-        ledger-mirror writes to land atomically with the ack (see
+        ledger-mirror writes to land in the same transaction (see
         :meth:`ack_many`).
         """
         digest = payload_digest(outcome)
-        self._ack_rows(
-            [(seq, digest, canonical_json(outcome if response is None else response))],
+        self._write(
+            [(entry, digest, canonical_json(outcome if response is None else response))],
             bounds,
         )
         return digest
 
     def ack_many(
         self,
-        items: list[tuple[int, dict[str, Any]]],
+        items: list[tuple[JournalEntry, dict[str, Any]]],
         *,
         bounds: list[tuple[str, str, dict[str, Any]]] | None = None,
     ) -> list[str]:
@@ -286,28 +299,34 @@ class RequestJournal:
 
         When *bounds* — ``(user_id, spec_name, payload)`` ledger-mirror
         writes drained from a buffering ledger — are supplied, they are
-        written in the *same* transaction as the acks.  That atomicity is
+        written in the *same* transaction as the rows.  That atomicity is
         the exactly-once guarantee.
         """
         if not items and not bounds:
             return []
-        digests = [payload_digest(outcome) for _seq, outcome in items]
-        self._ack_rows(
+        digests = [payload_digest(outcome) for _entry, outcome in items]
+        self._write(
             [
-                (seq, digest, canonical_json(outcome))
-                for (seq, outcome), digest in zip(items, digests)
+                (entry, digest, canonical_json(outcome))
+                for (entry, outcome), digest in zip(items, digests)
             ],
             bounds,
         )
         return digests
 
-    def _ack_rows(
+    def _write(
         self,
-        rows: list[tuple[int, str, str]],
+        rows: list[tuple[JournalEntry, str, str]],
         bounds: list[tuple[str, str, dict[str, Any]]] | None,
     ) -> None:
         start = time.perf_counter()
-        self.backend.journal_ack_many(rows, bounds or ())
+        self.backend.journal_write(
+            [
+                (e.seq, e.key, e.kind, canonical_json(e.payload), digest, response)
+                for e, digest, response in rows
+            ],
+            bounds or (),
+        )
         metrics = self.metrics
         if metrics:
             _ACK_SECONDS(metrics).observe(time.perf_counter() - start)
@@ -316,38 +335,24 @@ class RequestJournal:
     # -- read path ---------------------------------------------------------
     def entry(self, key: str) -> JournalEntry | None:
         """The entry under *key*, or ``None``."""
-        row = self.backend.journal_lookup(key)
-        return None if row is None else _decode_row(row)
+        rows = self.backend.journal_lookup([key])
+        return _decode_row(rows[0]) if rows else None
 
     def recorded_response(self, key: str) -> dict[str, Any] | None:
-        """The recorded response for an *acknowledged* key, else ``None``."""
+        """The recorded response for a key written done, else ``None``."""
         entry = self.entry(key)
-        if entry is None or entry.status != "done":
-            return None
-        return entry.response
+        return entry.response if entry is not None and entry.status == "done" else None
 
     def entries(self) -> list[JournalEntry]:
         """Every entry, in sequence order."""
         return [_decode_row(row) for row in self.backend.journal_entries()]
 
-    def pending(self) -> list[JournalEntry]:
-        """The unacknowledged suffix, in sequence order.
-
-        Decodes every row, so it is for recovery and replay; gauges and
-        health checks use :meth:`pending_count`.
-        """
-        return [e for e in self.entries() if e.status == "pending"]
-
-    def pending_count(self) -> int:
-        """Number of unacknowledged entries, without decoding any."""
-        return self.backend.journal_counts()[1]
-
     def __len__(self) -> int:
-        """Number of journaled entries (pending and done), without decoding any."""
-        return self.backend.journal_counts()[0]
+        """Number of journaled rows, without decoding any."""
+        return self.backend.journal_count()
 
     def audit_digest(self) -> str:
-        """The chained digest over every acknowledged outcome, in order.
+        """The chained digest over every written outcome, in order.
 
         This is the journal's one-line fingerprint of the run: replaying
         the journal must reproduce it exactly
@@ -389,16 +394,17 @@ class RequestJournal:
         )
 
     def compact(self) -> int:
-        """Fold every acknowledged entry into the checkpoint; return how
-        many rows were deleted.
+        """Fold every done entry into the checkpoint; return how many rows
+        were deleted.
 
         The checkpoint (:class:`JournalCheckpoint`) keeps what recovery
         and replay still need of the deleted rows: the live state they
         imply, their chained audit digest, and the ledger bounds the
-        store holds at this moment, which are exactly the acknowledged
-        rows' effect (every bound lands in its ack's transaction).  It is
-        written in the same transaction that deletes the rows.  Pending
-        entries are never dropped (they are the recovery suffix).
+        store holds at this moment, which are exactly the written rows'
+        effect (every bound lands in its row's transaction).  It is
+        written in the same transaction that deletes the rows.  A pending
+        row an earlier version left behind stays until a retry of its key
+        replaces it.
 
         Compaction narrows the duplicate-detection window: a client
         retrying a compacted key re-executes instead of short-circuiting
@@ -438,7 +444,7 @@ def chain_digest(digests: Iterable[str], *, seed: str | None = None) -> str:
 
 @dataclass
 class JournalState:
-    """The live gateway state a journal prefix's acknowledged entries imply.
+    """The live gateway state a journal prefix's done entries imply.
 
     ``configure`` is the latest configure payload; ``compiles`` maps
     query name → latest compile payload; ``sessions`` maps session id →
@@ -516,8 +522,9 @@ def live_state(
     """Fold a journal prefix into the ephemeral state it implies.
 
     *base* is the state of the rows a compaction deleted (left
-    untouched).  Pending entries are skipped: they may never have
-    executed, and a pending entry that is invalid must not be rebuilt on
+    untouched).  Only done entries fold: a pending row (left by an
+    earlier, write-ahead version of the journal) is a request that never
+    answered its client, and one that is invalid must not be rebuilt on
     every boot.
     """
     state = JournalState() if base is None else base.copy()

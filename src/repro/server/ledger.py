@@ -325,7 +325,7 @@ class PrivacyBudgetLedger:
         #: ``None`` = write-through durable mirror (every commit puts its
         #: bound immediately).  A journaled gateway switches to buffered
         #: mode (:meth:`buffer_writes`) so it can land each tick's bound
-        #: puts in the *same* transaction as the journal acknowledgement.
+        #: puts in the *same* transaction as the journal rows they justify.
         self._buffered: list[tuple[str, str, dict[str, Any]]] | None = None
         #: ``(bound, ind. set)`` → their intersection.  Batch admission
         #: seeds it with the posterior pairs it computed, which is how
@@ -722,12 +722,11 @@ class PrivacyBudgetLedger:
         Commits and decay keep mutating the in-memory bounds immediately,
         but their store puts accumulate in a buffer instead of writing
         through; the owner drains the buffer (:meth:`drain_writes`) and
-        persists it in one transaction with the matching journal
-        acknowledgement.  That atomicity is what collapses the
-        executed-but-unacknowledged crash window: after a crash, either
-        both the bound and the ack are durable or neither is, so
-        recovery's re-execution always starts from the same prior the
-        original execution saw.
+        persists it in one transaction with the matching journal rows.
+        That atomicity is what closes the executed-but-unwritten crash
+        window: after a crash, either both the bound and the row are
+        durable or neither is, so a retry's re-execution always starts
+        from the same prior the original execution saw.
         """
         with self._lock:
             if self._buffered is None:

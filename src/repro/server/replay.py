@@ -1,14 +1,14 @@
 """Deterministic replay of a request journal — the conformance check.
 
 A journaled :class:`~repro.server.gateway.DeclassificationServer`
-appends every state-changing request before executing it and digests a
-*deterministic* outcome encoding after the durable fold
-(:mod:`repro.server.journal`).  This module closes the loop: a
-:class:`ReplaySession` re-executes that history against a fresh,
-unjournaled twin — inline shards, no wall clock, no process pools — and
-checks that every decision comes out **bit-identical**:
+writes every state-changing request once it has executed, with a digest
+of a *deterministic* outcome encoding (:mod:`repro.server.journal`).
+This module closes the loop: a :class:`ReplaySession` re-executes that
+history against a fresh, unjournaled twin — inline shards, no wall
+clock, no process pools — and checks that every decision comes out
+**bit-identical**:
 
-* each acknowledged entry's re-executed outcome must digest to exactly
+* each written entry's re-executed outcome must digest to exactly
   its recorded ``outcome_digest`` (a mismatch is a
   :class:`ReplayDivergence`, pinpointed by sequence number);
 * the chained digest over the replayed history must equal the chain over
@@ -42,12 +42,13 @@ from its chain.  The deleted rows themselves are not re-executed (nor
 are their trace trees rebuilt); the backups taken before compaction are
 their record.
 
-Pending entries (journaled but never acknowledged — the crash windows)
-carry no recorded digest to compare against; replay always applies
-them, mirroring what
+Only done rows are replayed.  A pending row, left by an earlier,
+write-ahead version of the journal, is a request that never answered its
+client; replay skips it, as
 :meth:`~repro.server.gateway.DeclassificationServer.recover_from_journal`
-does on a real boot, and counts them separately.  One that is invalid
-on its own terms is recorded as an ``error`` outcome, never raised.
+does on a real boot.  A written entry that is invalid on its own terms
+(:data:`REJECTED_REQUEST_ERRORS`) is recorded as an ``error`` outcome,
+never raised.
 
 Replay is deliberately dependency-free beyond the runtime itself: feed
 it a :class:`~repro.server.journal.RequestJournal`, any backend, or a
@@ -61,8 +62,11 @@ import asyncio
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError
+from repro.lang.validate import QueryValidationError
 from repro.obs.trace import Tracer
-from repro.server.gateway import DeclassificationServer, REJECTED_REQUEST_ERRORS
+from repro.server.gateway import DeclassificationServer
 from repro.server.journal import (
     JournalBackend,
     JournalCheckpoint,
@@ -75,6 +79,7 @@ from repro.server.store import SQLiteStore
 from repro.service.serialize import payload_digest
 
 __all__ = [
+    "REJECTED_REQUEST_ERRORS",
     "ReplayDivergence",
     "ReplayRefusal",
     "ReplayReport",
@@ -83,9 +88,15 @@ __all__ = [
 ]
 
 
+#: What a request raises when it is invalid on its own terms (query text
+#: that does not lex, parse or fit its secret, an unknown or duplicate
+#: session, a malformed payload): replay records it as an ``error``.
+REJECTED_REQUEST_ERRORS = (ValueError, KeyError, LexError, ParseError, QueryValidationError)
+
+
 @dataclass(frozen=True)
 class ReplayDivergence:
-    """One acknowledged entry whose re-execution digested differently."""
+    """One written entry whose re-execution digested differently."""
 
     seq: int
     kind: str
@@ -108,7 +119,7 @@ class ReplayRefusal:
 class ReplayReport:
     """What a full replay established about a journal.
 
-    ``conforms`` is the headline: every acknowledged outcome re-executed
+    ``conforms`` is the headline: every written outcome re-executed
     bit-identically *and* the chained digests match.  The rest is the
     evidence an operator (or the conformance test) drills into.
     """
@@ -116,7 +127,6 @@ class ReplayReport:
     entries: int
     replayed: int
     matched: int
-    pending_applied: int
     restarts: int
     divergences: tuple[ReplayDivergence, ...] = ()
     refusals: tuple[ReplayRefusal, ...] = ()
@@ -170,7 +180,9 @@ class ReplaySession:
             self.checkpoint = source.checkpoint()
         else:
             entries = source
-        self.entries = sorted(entries, key=lambda e: e.seq)
+        self.entries = sorted(
+            (e for e in entries if e.status == "done"), key=lambda e: e.seq
+        )
         self.trace_digest = trace_digest
         # Accumulates every generation's spans; sized so no replayed
         # trace is evicted mid-run (one trace per entry is an upper
@@ -191,7 +203,7 @@ class ReplaySession:
         replayed: list[str] = []
         divergences: list[ReplayDivergence] = []
         refusals: list[ReplayRefusal] = []
-        counts = {"replayed": 0, "matched": 0, "applied": 0}
+        matched = 0
         restarts = -1  # the first configure entry is boot, not a restart
         checkpoint = self.checkpoint
         if checkpoint.state.configure is not None:
@@ -240,33 +252,28 @@ class ReplaySession:
                         )
                     )
             digest = payload_digest(actual)
-            if entry.status == "done":
-                counts["replayed"] += 1
-                recorded.append(entry.outcome_digest or "")
-                replayed.append(digest)
-                if digest == entry.outcome_digest:
-                    counts["matched"] += 1
-                else:
-                    divergences.append(
-                        ReplayDivergence(
-                            seq=entry.seq,
-                            kind=entry.kind,
-                            key=entry.key,
-                            recorded=entry.outcome_digest or "",
-                            actual=digest,
-                        )
-                    )
+            recorded.append(entry.outcome_digest or "")
+            replayed.append(digest)
+            if digest == entry.outcome_digest:
+                matched += 1
             else:
-                counts["applied"] += 1
+                divergences.append(
+                    ReplayDivergence(
+                        seq=entry.seq,
+                        kind=entry.kind,
+                        key=entry.key,
+                        recorded=entry.outcome_digest or "",
+                        actual=digest,
+                    )
+                )
 
         if server is not None:
             self._collect_spans(server)
             server.shutdown()
         return ReplayReport(
             entries=len(self.entries),
-            replayed=counts["replayed"],
-            matched=counts["matched"],
-            pending_applied=counts["applied"],
+            replayed=len(replayed),
+            matched=matched,
             restarts=max(restarts, 0),
             divergences=tuple(divergences),
             refusals=tuple(refusals),

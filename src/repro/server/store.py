@@ -29,15 +29,13 @@ written before the ledger table existed adopts the current version on
 first open.
 
 A third table, ``request_journal``, makes the store the gateway's
-write-ahead log (the :class:`~repro.server.journal.JournalBackend`
-protocol): every state-changing request is appended — idempotency key,
-monotone sequence number, payload — *before* it executes and
-acknowledged with its outcome digest after the durable-mirror fold.
+request journal (the :class:`~repro.server.journal.JournalBackend`
+protocol): every state-changing request is written once, after it
+executes — idempotency key, monotone sequence number, payload, outcome
+digest — in the same transaction as the ledger bounds it changed.
 Crash recovery and deterministic replay both read this table; like the
 ledger table it is independently format-versioned
 (``journal_format_version``) and adopted on first open by older stores.
-A partial index over its pending rows keeps the backlog count that
-every scrape reports independent of the journal's length.
 ``audit_spill`` holds audit events evicted from the bounded in-memory
 ring, so the full dense-sequence audit history survives even under
 serving loads the ring cannot hold.
@@ -134,8 +132,9 @@ class SQLiteStore:
                     "  acked_at REAL"
                     ")"
                 )
-                # Pending rows only: the backlog count every scrape reads
-                # stays O(backlog) instead of scanning the whole journal.
+                # Pending rows only.  Only the write-ahead journal of
+                # earlier versions wrote such rows; the index stays so
+                # every version's stores share one schema.
                 self._conn.execute(
                     "CREATE INDEX IF NOT EXISTS request_journal_pending "
                     "ON request_journal(seq) WHERE status = 'pending'"
@@ -282,87 +281,60 @@ class SQLiteStore:
         "seq, idem_key, kind, payload, status, outcome_digest, response"
     )
 
-    def journal_append_many(self, items: list[tuple[str, str, str]]):
-        """Insert pending journal rows, or return the existing rows.
-
-        One durable transaction for a whole tick.  ``INSERT OR IGNORE``
-        against the ``idem_key`` unique constraint makes the append
-        idempotent at the storage layer: concurrent or retried appends
-        of one idempotency key always resolve to one row and one
-        sequence number.
-        """
-
-        def txn(conn):
-            now = time.time()
-            conn.executemany(
-                "INSERT OR IGNORE INTO request_journal "
-                "(idem_key, kind, payload, status, created_at) "
-                "VALUES (?, ?, ?, 'pending', ?)",
-                [(key, kind, blob, now) for key, kind, blob in items],
-            )
-            rows = []
-            for key, _kind, _blob in items:
-                rows.append(
-                    conn.execute(
-                        f"SELECT {self._JOURNAL_COLUMNS} FROM request_journal "
-                        "WHERE idem_key = ?",
-                        (key,),
-                    ).fetchone()
-                )
-            return rows
-
-        return self._write_txn(txn)
-
-    def journal_ack_many(
+    def journal_write(
         self,
-        items: list[tuple[int, str, str]],
+        rows: list[tuple[int, str, str, str, str, str]],
         bounds: Iterable[tuple[str, str, dict[str, Any]]] = (),
     ) -> None:
-        """Acks plus ledger-bound puts, atomically, in one transaction.
+        """Executed journal rows plus ledger-bound puts, in one transaction.
 
-        Marks each ``(seq, digest, response_json)`` row done.  The
+        Inserts each ``(seq, key, kind, payload_json, digest,
+        response_json)`` row already done, under the sequence number the
+        journal reserved for it.  ``INSERT OR REPLACE`` on the
+        ``idem_key`` unique constraint lets a retry replace the pending
+        row an earlier, write-ahead version left under its key.  The
         exactly-once keystone: a journaled gateway drains the ledger's
-        buffered durable-mirror writes into *bounds* and lands them
-        *with* the acknowledgements they justify.  A crash therefore
-        leaves the store in one of exactly two states — bounds folded
-        and entries acked, or neither — never the in-doubt middle where
-        a recovery re-execution would see a different prior than the
-        original run.
+        buffered durable-mirror writes into *bounds* and lands them *with*
+        the rows they justify.  A crash therefore leaves the store in one
+        of exactly two states — bounds folded and rows written, or
+        neither — never a charge without its request or a request
+        without its charge.
         """
 
         # Users sharing a bound share its payload object: encode it once.
         blobs: dict[int, str] = {}
-        rows = []
+        bound_rows = []
         for user_id, spec_name, payload in bounds:
             blob = blobs.get(id(payload))
             if blob is None:
                 blob = blobs[id(payload)] = json.dumps(payload, sort_keys=True)
-            rows.append((user_id, spec_name, blob))
+            bound_rows.append((user_id, spec_name, blob))
 
         def txn(conn):
             now = time.time()
-            if rows:
+            if bound_rows:
                 conn.executemany(
                     "INSERT OR REPLACE INTO ledger_bounds "
                     "(user_id, spec, payload, updated_at) VALUES (?, ?, ?, ?)",
-                    [(user, spec, blob, now) for user, spec, blob in rows],
+                    [(user, spec, blob, now) for user, spec, blob in bound_rows],
                 )
             conn.executemany(
-                "UPDATE request_journal SET status = 'done', "
-                "outcome_digest = ?, response = ?, acked_at = ? WHERE seq = ?",
-                [(digest, blob, now, seq) for seq, digest, blob in items],
+                "INSERT OR REPLACE INTO request_journal (seq, idem_key, kind, "
+                "payload, status, outcome_digest, response, created_at, acked_at) "
+                "VALUES (?, ?, ?, ?, 'done', ?, ?, ?, ?)",
+                [row + (now, now) for row in rows],
             )
 
         self._write_txn(txn)
 
-    def journal_lookup(self, key: str):
-        """The journal row under an idempotency key, or ``None``."""
+    def journal_lookup(self, keys: list[str]):
+        """The journal rows under the idempotency *keys*, in one read."""
         with self._lock:
             return self._conn.execute(
                 f"SELECT {self._JOURNAL_COLUMNS} FROM request_journal "
-                "WHERE idem_key = ?",
-                (key,),
-            ).fetchone()
+                "WHERE idem_key IN (SELECT value FROM json_each(?))",
+                (json.dumps(keys),),
+            ).fetchall()
 
     def journal_entries(self):
         """Every journal row, in sequence order."""
@@ -372,25 +344,21 @@ class SQLiteStore:
                 "ORDER BY seq"
             ).fetchall()
 
-    def journal_counts(self) -> tuple[int, int]:
-        """``(rows, pending rows)`` without decoding any row.
-
-        The total is SQLite's b-tree count; the pending count reads only
-        the partial ``request_journal_pending`` index.
-        """
+    def journal_count(self) -> int:
+        """Number of journal rows (SQLite's b-tree count, no row decoded)."""
         with self._lock:
-            total, pending = self._conn.execute(
-                "SELECT (SELECT COUNT(*) FROM request_journal), "
-                "(SELECT COUNT(*) FROM request_journal WHERE status = 'pending')"
+            (count,) = self._conn.execute(
+                "SELECT COUNT(*) FROM request_journal"
             ).fetchone()
-        return int(total), int(pending)
+        return int(count)
 
     def journal_next_seq(self) -> int:
-        """One past the highest journal sequence number ever issued.
+        """One past the highest journal sequence number ever written.
 
-        Reads ``sqlite_sequence`` (AUTOINCREMENT's high-water mark), so
-        compacted rows still advance the floor — restarted processes
-        never reissue a dead process's auto keys.
+        Reads ``sqlite_sequence`` (AUTOINCREMENT's high-water mark, which
+        an explicit ``seq`` above it raises), so compacted rows still
+        advance the floor — a restarted journal never reissues a dead
+        process's sequence numbers or auto keys.
         """
         with self._lock:
             try:
@@ -413,8 +381,8 @@ class SQLiteStore:
         return None if row is None else row[0]
 
     def journal_compact(self, seqs: list[int], checkpoint: str) -> int:
-        """Replace the journal checkpoint and delete the acknowledged rows
-        among *seqs*, atomically."""
+        """Replace the journal checkpoint and delete the done rows among
+        *seqs*, atomically."""
 
         def txn(conn):
             conn.execute(

@@ -110,7 +110,7 @@ def test_metrics_scrape_is_valid_exposition(stack, traffic):
         ("anosy_gateway_downgrades_total", frozenset({("kind", "ok")}))
     ] >= 1
     assert families["anosy_serve_path_total"].kind == "counter"
-    assert families["anosy_journal_append_seconds"].kind == "histogram"
+    assert families["anosy_journal_ack_seconds"].kind == "histogram"
     assert families["anosy_gateway_tick_seconds"].kind == "histogram"
     assert families["anosy_sessions_open"].samples[
         ("anosy_sessions_open", frozenset())
@@ -134,7 +134,7 @@ def test_statusz_reports_runtime_shape(stack, traffic):
     assert body["observe"] is True
     assert body["queue_depth"] == 0
     assert body["degraded"]["fraction"] == 0.0
-    assert body["journal"]["pending"] == 0
+    assert body["journal"]["stopped"] is False
     assert body["journal"]["entries"] >= 3
     assert body["stats"]["downgrades_served"] >= 1
     assert body["traces"]["retained"] >= 1
@@ -148,7 +148,6 @@ def test_healthz_carries_degradation_signals(stack, traffic):
         "status": "ok",
         "degraded_fraction": 0.0,
         "breakers_open": 0,
-        "journal_pending": 0,
     }
 
 

@@ -1,9 +1,10 @@
 """A scrape never reads the whole journal.
 
 ``/metrics``, ``/statusz``, ``/v1/audit`` and ``/v1/healthz`` all report
-the journal's size and backlog.  Those counts come from one ``COUNT``
-query on the journal's store, so a scrape costs the same on a journal of
-ten rows as on one of a million.  The spy below makes any full-journal
+on the journal: its size, its traffic, and whether it stopped.  The size
+comes from one ``COUNT`` query on the journal's store and the rest from
+counters, so a scrape costs the same on a journal of ten rows as on one
+of a million.  The spy below makes any full-journal
 read during a scrape a test failure, on a store-less (in-memory) journal
 and on one sharing the ledger's store, before and after compaction.
 """
@@ -65,37 +66,37 @@ def call(edge, method, path, body=None, key=None):
         )
 
 
-def pending_gauge(exposition):
+def appends_gauge(exposition):
     families = parse_exposition(exposition)
-    return families["anosy_journal_pending"].samples[
-        ("anosy_journal_pending", frozenset())
+    return families["anosy_gateway_stat"].samples[
+        ("anosy_gateway_stat", frozenset({("stat", "journal_appends")}))
     ]
 
 
 def scrape(server, edge):
     """The journal counts every scrape surface reports, direct and over HTTP."""
-    gauge = pending_gauge(server.metrics_text())
+    gauge = appends_gauge(server.metrics_text())
     statusz = server.statusz()["journal"]
     assert server.audit_summary()["journal"] == statusz
     status, raw = call(edge, "GET", "/metrics")
-    assert status == 200 and pending_gauge(raw.decode("utf-8")) == gauge
+    assert status == 200 and appends_gauge(raw.decode("utf-8")) == gauge
     assert call(edge, "GET", "/statusz")[1]["journal"] == statusz
     assert call(edge, "GET", "/v1/audit")[1]["journal"] == statusz
     status, health = call(edge, "GET", "/v1/healthz")
     assert status == 200
     return {
         "gauge": int(gauge),
-        "healthz": health["journal_pending"],
-        "pending": statusz["pending"],
+        "healthz": health["status"],
+        "stopped": statusz["stopped"],
         "entries": statusz["entries"],
     }
 
 
 async def traffic(server):
-    """One served downgrade, then an open that dies after journaling.
+    """One served downgrade, then an open that dies before its write.
 
-    The gateway "crashes" between appending the open and executing it,
-    so the row stays pending: the recovery suffix.  Driven on the
+    The gateway "crashes" between executing the open and writing it, so
+    nothing of it is durable and the journal stops.  Driven on the
     caller's loop without a ticker, so the fault fires exactly here.
     """
     await server.register_query(
@@ -106,7 +107,7 @@ async def traffic(server):
     result = await server.downgrade("s1", "west", idempotency_key="dg/1")
     assert result.authorized
     faults.install_fault_plan(
-        FaultPlan([FaultSpec(site="journal", kind="crash_after_journal_before_execute")]),
+        FaultPlan([FaultSpec(site="journal", kind="crash_after_execute_before_ack")]),
         simulate=True,
     )
     try:
@@ -136,17 +137,15 @@ def test_scrapes_count_without_reading_the_journal(backend):
             spy.armed = False
             if compact:
                 assert journal.compact() > 0
-            expected_pending = len(journal.pending())
             expected_entries = len(journal.entries())
-            assert expected_pending == 1
+            assert journal.entry("o2") is None
             spy.armed = True
             assert scrape(server, edge) == {
-                "gauge": expected_pending,
-                "healthz": expected_pending,
-                "pending": expected_pending,
+                "gauge": server.stats.journal_appends,
+                "healthz": "stopped",
+                "stopped": True,
                 "entries": expected_entries,
             }
-            assert journal.pending_count() == expected_pending
             assert len(journal) == expected_entries
         spy.armed = False
     store.close()

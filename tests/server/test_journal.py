@@ -1,4 +1,4 @@
-"""RequestJournal: write-ahead discipline, idempotency keys, digests."""
+"""RequestJournal: reserve, execute, write; idempotency keys, digests."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,7 @@ from repro.server.journal import (
     live_state,
 )
 from repro.server.store import SQLiteStore
-from repro.service.serialize import payload_digest
+from repro.service.serialize import canonical_json, payload_digest
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -33,31 +33,35 @@ def test_backends_satisfy_the_protocol(backend):
 def test_begin_execute_ack_roundtrip(backend):
     journal = RequestJournal(backend)
     entry = journal.begin("k1", "downgrade", {"session_id": "u1", "query_name": "q"})
-    assert entry.status == "pending" and entry.seq == 1
-    assert journal.pending() == [entry]
-    digest = journal.ack(entry.seq, {"kind": "downgrade", "authorized": True})
+    assert entry.status == "reserved" and entry.seq == 1
+    # Reserving writes nothing: the row appears only once executed.
+    assert len(journal) == 0 and journal.entry("k1") is None
+    digest = journal.ack(entry, {"kind": "downgrade", "authorized": True})
     assert digest == payload_digest({"kind": "downgrade", "authorized": True})
     done = journal.entry("k1")
     assert done.status == "done"
     assert done.outcome_digest == digest
     # Outcome doubles as the recorded response by default.
     assert journal.recorded_response("k1") == {"kind": "downgrade", "authorized": True}
-    assert journal.pending() == []
+    assert [e.status for e in journal.entries()] == ["done"]
 
 
 def test_duplicate_key_returns_the_existing_row(backend):
     journal = RequestJournal(backend)
     first = journal.begin("dup", "compile", {"name": "q"})
-    journal.ack(first.seq, {"kind": "compile", "name": "q"}, response={"took": 1.5})
+    journal.ack(first, {"kind": "compile", "name": "q"}, response={"took": 1.5})
     again = journal.begin("dup", "compile", {"name": "q"})
     assert again.seq == first.seq
     assert again.status == "done"
     assert again.response == {"took": 1.5}
-    # A pending duplicate also resolves to the one row.
-    p1 = journal.begin("open", "open_session", {"session_id": "u"})
-    p2 = journal.begin("open", "open_session", {"session_id": "u"})
-    assert p1.seq == p2.seq and p2.status == "pending"
-    assert len(journal) == 2
+    # A reservation that was never written leaves no row and a gap: the
+    # key's retry is reserved afresh, and only its write lands.
+    r1 = journal.begin("open", "open_session", {"session_id": "u"})
+    r2 = journal.begin("open", "open_session", {"session_id": "u"})
+    assert (r1.status, r2.status) == ("reserved", "reserved")
+    assert r2.seq == r1.seq + 1
+    journal.ack(r2, {"kind": "open_session"})
+    assert [e.seq for e in journal.entries()] == [first.seq, r2.seq]
 
 
 def test_begin_many_and_ack_many_batch(backend):
@@ -67,13 +71,13 @@ def test_begin_many_and_ack_many_batch(backend):
     )
     assert [e.seq for e in entries] == [1, 2, 3, 4, 5]
     digests = journal.ack_many(
-        [(e.seq, {"kind": "downgrade", "i": i}) for i, e in enumerate(entries)]
+        [(e, {"kind": "downgrade", "i": i}) for i, e in enumerate(entries)]
     )
     assert digests == [
         payload_digest({"kind": "downgrade", "i": i}) for i in range(5)
     ]
-    assert journal.pending() == []
-    # Duplicates inside one batch collapse to one row.
+    assert [e.status for e in journal.entries()] == ["done"] * 5
+    # Duplicates inside one batch share one reservation.
     batch = journal.begin_many(
         [("same", "compile", {"name": "a"}), ("same", "compile", {"name": "a"})]
     )
@@ -86,7 +90,7 @@ def test_auto_keys_never_repeat_across_restarts(backend):
     assert len(set(keys)) == 3
     # Only the last auto key ever hit the journal; a shed request
     # consumed the others without a row.
-    journal.begin(keys[-1], "downgrade", {"session_id": "u"})
+    journal.ack(journal.begin(keys[-1], "downgrade", {"session_id": "u"}), {})
     rebooted = RequestJournal(backend)
     fresh = rebooted.auto_key("downgrade")
     assert fresh not in keys
@@ -96,21 +100,33 @@ def test_audit_digest_chains_done_entries_in_order(backend):
     journal = RequestJournal(backend)
     a = journal.begin("a", "compile", {"name": "qa"})
     b = journal.begin("b", "compile", {"name": "qb"})
-    da = journal.ack(a.seq, {"kind": "compile", "name": "qa"})
-    db = journal.ack(b.seq, {"kind": "compile", "name": "qb"})
+    da = journal.ack(a, {"kind": "compile", "name": "qa"})
+    db = journal.ack(b, {"kind": "compile", "name": "qb"})
     assert journal.audit_digest() == chain_digest([da, db])
-    # Pending entries contribute nothing until acknowledged.
+    # Reserved entries contribute nothing until written.
     journal.begin("c", "compile", {"name": "qc"})
     assert journal.audit_digest() == chain_digest([da, db])
     assert chain_digest([da, db]) != chain_digest([db, da])
+
+
+def legacy_pending_row(store, seq, key, kind, payload):
+    """The row the write-ahead journal of earlier versions appended
+    before executing a request, left unacknowledged by a crash."""
+    store._execute_write(
+        "INSERT INTO request_journal (seq, idem_key, kind, payload, status, "
+        "created_at) VALUES (?, ?, ?, ?, 'pending', 0)",
+        (seq, key, kind, canonical_json(payload)),
+    )
 
 
 def test_compact_drops_acknowledged_prefix_only(backend):
     journal = RequestJournal(backend)
     for i in range(4):
         e = journal.begin(f"k{i}", "downgrade", {"i": i})
-        if i != 2:
-            journal.ack(e.seq, {"kind": "downgrade", "i": i})
+        if i == 2:
+            legacy_pending_row(backend, e.seq, e.key, e.kind, e.payload)
+        else:
+            journal.ack(e, {"kind": "downgrade", "i": i})
     removed = journal.compact()
     assert removed == 3
     remaining = journal.entries()
@@ -135,14 +151,14 @@ def test_compaction_checkpoint_keeps_state_and_chain(backend):
         ("d2", "downgrade", {"session_id": "u2", "query_name": "q"}, {"authorized": False}),
     ]
     for key, kind, payload, outcome in ops:
-        journal.ack(journal.begin(key, kind, payload).seq, outcome)
+        journal.ack(journal.begin(key, kind, payload), outcome)
     state, digest = journal.state(), journal.audit_digest()
     assert state.answered == {"u1": ["q"]}
     assert journal.compact() == len(ops)
     assert journal.state() == state and journal.audit_digest() == digest
     assert journal.checkpoint().state.configure == {"v": 1}
     closed = journal.begin("x1", "close_session", {"session_id": "u1"})
-    journal.ack(closed.seq, {"kind": "close"})
+    journal.ack(closed, {"kind": "close"})
     state, digest = journal.state(), journal.audit_digest()
     assert list(state.sessions) == ["u2"] and state.answered == {}
     assert journal.compact() == 1
@@ -161,7 +177,7 @@ def test_live_state_folds_compiles_and_sessions(backend):
     ]
     for key, kind, payload in ops:
         e = journal.begin(key, kind, payload)
-        journal.ack(e.seq, {"kind": kind})
+        journal.ack(e, {"kind": kind})
     state = live_state(journal.entries())
     assert state.compiles == {"q": {"name": "q", "v": 2}}  # last wins
     assert list(state.sessions) == ["u2"]
@@ -186,7 +202,7 @@ def test_ack_with_bounds_lands_both_atomically():
     journal = RequestJournal(store)
     entry = journal.begin("k", "downgrade", {"session_id": "u"})
     journal.ack_many(
-        [(entry.seq, {"kind": "downgrade", "authorized": True})],
+        [(entry, {"kind": "downgrade", "authorized": True})],
         bounds=[("u", "Loc", {"payload": 1})],
     )
     assert journal.entry("k").status == "done"
@@ -197,7 +213,7 @@ def test_ack_with_bounds_lands_both_atomically():
     shared = {"payload": 2}
     again = journal.begin("k2", "downgrade", {"session_id": "v"})
     journal.ack_many(
-        [(again.seq, {"kind": "downgrade", "authorized": True})],
+        [(again, {"kind": "downgrade", "authorized": True})],
         bounds=[("v", "Loc", shared), ("w", "Loc", shared), ("x", "Loc", {"payload": 3})],
     )
     assert sorted(store.ledger_bounds()) == [
@@ -242,11 +258,9 @@ def test_duplicated_reordered_deliveries_keep_one_row_per_key(deliveries):
         if entry.status == "done":
             assert entry.response == responses[request_id]
             continue
-        if request_id in responses:
-            # Redelivered before the first ack: same pending row.
-            assert entry.payload == {"request": request_id}
+        assert request_id not in responses
         outcome = {"kind": "downgrade", "request": request_id}
-        journal.ack(entry.seq, outcome)
+        journal.ack(entry, outcome)
         responses[request_id] = outcome
     assert len(journal) == len(set(deliveries))
     for request_id in set(deliveries):
