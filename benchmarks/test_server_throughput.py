@@ -31,10 +31,10 @@ Three claims of the ``repro.server`` architecture, measured and gated:
   gates, only asserted on ≥ 4-core runners where timing noise from a
   contended CI core can't flip it);
 * **journaling is cheap** — the same sharded workload with every
-  request write-ahead journaled to a file-backed SQLite store (appends
-  and acks batched per tick) keeps ≥ 0.7x the unjournaled sharded
-  throughput (``serving_journaled``; soft-reported below 4 cores like
-  the other ratio gates);
+  request journaled to a file-backed SQLite store (each job's rows
+  written once, after it executed, with the bounds it charged) keeps
+  ≥ 0.7x the unjournaled sharded throughput (``serving_journaled``;
+  soft-reported below 4 cores like the other ratio gates);
 * **observation is cheap** — the same sharded workload with the full
   telemetry surface on (metric counters on every layer, replay-stable
   trace spans piggybacked on shard batch responses) keeps ≥ 0.9x the
@@ -193,7 +193,7 @@ async def _sharded_serving_scenario(
 ):
     """One sharded serving run; optionally trip breakers before serving.
 
-    With *store* set, every request is write-ahead journaled to it —
+    With *store* set, every request is journaled to it —
     the ``serving_journaled`` configuration, identical except for the
     journal so the ratio isolates journaling overhead.  *observe*
     defaults off so every ratio shares the uninstrumented baseline;
@@ -298,11 +298,11 @@ def test_degraded_serving_throughput():
 
 
 def test_journaled_serving_throughput(tmp_path):
-    """Write-ahead journaling on the sharded serving path, measured.
+    """Journaling on the sharded serving path, measured.
 
     Same workload as ``serving_sharded`` with a file-backed SQLite
-    store journaling every request (appends and acks land in batched
-    per-tick transactions, acks fused with the ledger mirror when one
+    store journaling every request (one transaction per job, written
+    after it executed, with the ledger mirror's bounds when one
     exists).  Reported always; gated at ≥ ``MIN_JOURNALED_FRACTION`` of
     the unjournaled sharded throughput on ≥ 4-core runners.
     """

@@ -6,9 +6,9 @@ timeouts, flaky proxies, duplicated deliveries.  This walkthrough runs
 the full loop the journal was built for:
 
 1. a journaled gateway behind the stdlib :class:`HttpEdge` — every
-   state-changing request is appended to the write-ahead journal before
-   it executes, and every request of the walkthrough rides one
-   persistent HTTP/1.1 connection;
+   state-changing request executes and is then written to the journal
+   in one transaction, with the ledger bounds it charged, and every
+   request of the walkthrough rides one persistent HTTP/1.1 connection;
 2. a downgrade sent with an ``Idempotency-Key``, then *re-sent* with the
    same key — the duplicate is answered byte-identically from the
    journal and the privacy budget is not charged twice;

@@ -37,7 +37,7 @@ layer ROADMAP's "heavy traffic" north star asks for:
 * :mod:`repro.server.supervise` — the
   :class:`~repro.server.supervise.ShardSupervisor`: typed shard
   failures, per-job deadlines, bounded retries with jittered backoff,
-  per-shard circuit breakers, and restart-plus-rehydrate recovery that
+  per-shard circuit breakers, and restart-and-retry recovery that
   keeps the runtime serving through process death;
 * :mod:`repro.server.faults` — deterministic, seeded fault injection
   (:class:`~repro.server.faults.FaultPlan`) driving the chaos suite

@@ -86,16 +86,19 @@ own store, so every row lands in one transaction with the bounds it
 justifies; construction refuses a ledger store other than
 ``journal.backend``.
 
+Each serving shard job builds its ops, when it ships, from the shard's
+*view* (what that process holds), and the gateway forgets a view it can
+no longer vouch for, so a shard's bound for every user it holds is the
+mirror's (DESIGN.md §9).
+
 The same durability split powers *mid-flight* recovery (see
 :mod:`repro.server.supervise` and DESIGN.md §10): every shard job runs
 under a :class:`~repro.server.supervise.ShardSupervisor` with a
 per-job deadline, bounded retries, and a per-shard circuit breaker.  A
-dead or hung shard is killed and replaced, the replacement is
-*rehydrated* from durable gateway state (configure, re-attach
-artifacts, re-open sessions with fresh mirror-bound snapshots — never
-looser, by construction), and the batch is retried; once a shard's
-breaker opens, its work degrades onto the gateway's own core (compiles:
-inline execution) until a half-open probe succeeds.  Past a
+dead or hung shard is killed and replaced and its view forgotten, so
+the retry ships everything the job needs to a fresh shard; once a
+shard's breaker opens, its work degrades onto the gateway's own core
+(compiles: inline execution) until a half-open probe succeeds.  Past a
 degraded-capacity watermark the gateway sheds with
 :class:`ServerDegraded`, whose ``retry_after`` carries the earliest
 breaker probe time.
@@ -338,6 +341,24 @@ class _PendingDowngrade:
     trace_id: str | None = None
 
 
+@dataclass
+class _ShardView:
+    """What one serving shard process holds, as far as the gateway can vouch.
+
+    A missing view means the shard holds nothing: its next job starts
+    with ``configure``, which replaces the process's serving state.
+    """
+
+    #: The mirror epoch the shard's ledger is at.
+    epoch: int
+    #: Query names whose artifacts the shard has attached.
+    queries: set[str] = field(default_factory=set)
+    #: Session ids open on the shard.
+    sessions: set[str] = field(default_factory=set)
+    #: Session ids closed at the gateway, still open on the shard.
+    closes: list[str] = field(default_factory=list)
+
+
 def _fail(waiters: list[_PendingDowngrade], exc: BaseException) -> None:
     """Deliver *exc* to every waiter that has no outcome yet."""
     for pending in waiters:
@@ -574,12 +595,8 @@ class DeclassificationServer:
         self.core = ServingCore(self.service.manager, self.ledger, self._users)
         #: Shard-mode session handles (the shard owns the live state).
         self._shard_sessions: dict[str, Session] = {}
-        #: Pending ops per serving shard, shipped before its next batch.
-        self._shard_ops: dict[int, list[dict[str, Any]]] = {}
-        #: Serving shards whose configure op has been queued.
-        self._shard_configured: set[int] = set()
-        #: Query names attached (artifact shipped) per serving shard.
-        self._shard_queries: dict[int, set[str]] = {}
+        #: What each serving shard holds; each job ships from it.
+        self._shard_views: dict[int, _ShardView] = {}
         #: The request journal (None = unjournaled server).
         self.journal = journal
         #: The failure that stopped the journal (None while it runs); see
@@ -804,9 +821,9 @@ class DeclassificationServer:
         whole point of the ledger).
 
         In shard-serving mode the live session state lives on the user's
-        shard (the open op ships with the next batch to that shard,
-        order-preserved); the returned :class:`Session` is the gateway's
-        handle, and its knowledge field stays ``None``.
+        shard (opened there by the first job that serves the session);
+        the returned :class:`Session` is the gateway's handle, and its
+        knowledge field stays ``None``.
 
         On a journaled server a duplicate ``idempotency_key`` returns the
         live handle (or a detached one) without opening twice.
@@ -839,9 +856,6 @@ class DeclassificationServer:
         else:
             if session_id in self._shard_sessions:
                 raise ValueError(f"session {session_id!r} already open")
-            self._ops_for(self.serving_pool.shard_for(user)).append(
-                self._open_session_op(session_id, user, secret)
-            )
             session = Session(session_id=session_id, secret=secret)
             self._shard_sessions[session_id] = session
         self._users[session_id] = user
@@ -850,23 +864,14 @@ class DeclassificationServer:
         )
         return session
 
-    def _open_session_op(
-        self, session_id: str, user: str, secret: ProtectedSecret
-    ) -> dict[str, Any]:
-        """The shard op opening one session, with a mirror-bound snapshot.
-
-        The snapshot makes a restarted (or rehydrated) shard resume
-        enforcement where the killed one stopped; it is refreshed again
-        at ship time (see :meth:`_serve_shard_groups`), so bounds
-        committed on the degraded path while the op sat queued are never
-        lost to the shard.
-        """
-        spec = secret.spec
+    def _open_session_op(self, session: Session) -> dict[str, Any]:
+        """The shard op opening one session, with the mirror's bound now."""
+        user, spec = self._users[session.session_id], session.secret.spec
         bounds = None
         if self.ledger is not None:
             bounds = {spec.name: self.ledger.export_bound(user, spec)}
         # The journaled open payload; the shard re-seals the raw value.
-        payload = _open_session_payload(session_id, user, secret)
+        payload = _open_session_payload(session.session_id, user, session.secret)
         return {"op": "open_session", **payload, "bounds": bounds}
 
     def close_session(
@@ -895,9 +900,10 @@ class DeclassificationServer:
             except KeyError:
                 raise KeyError(f"no open session {session_id!r}") from None
             user = self._users.get(session_id, session_id)
-            self._ops_for(self.serving_pool.shard_for(user)).append(
-                {"op": "close_session", "session_id": session_id}
-            )
+            view = self._shard_views.get(self.serving_pool.shard_for(user))
+            if view is not None and session_id in view.sessions:
+                view.sessions.discard(session_id)
+                view.closes.append(session_id)
             if session_id in self._degraded_sessions:
                 # The session was adopted by the gateway core while its
                 # shard was down; close the local mirror too.
@@ -908,76 +914,73 @@ class DeclassificationServer:
         self.service.audit_event("session_close", session_id=session_id)
         return session
 
-    # -- serving-shard op plumbing --------------------------------------------
-    def _ops_for(self, shard: int) -> list[dict[str, Any]]:
-        """The pending op list for a shard, configure op first-ever."""
-        ops = self._shard_ops.get(shard)
-        if ops is None:
-            ops = []
-            if shard not in self._shard_configured:
-                ops.append(self._configure_op())
-                self._shard_configured.add(shard)
-            self._shard_ops[shard] = ops
-        return ops
-
+    # -- serving-shard views ---------------------------------------------------
     def _configure_op(self) -> dict[str, Any]:
         """The shard configure op: the journaled configuration, compile options aside."""
         config = self._configure_payload()
         del config["options"]
         return {"op": "configure", **config, "observe": self.hub.enabled}
 
-    def _ensure_attached(
-        self, shard: int, query_name: str, ops: list[dict[str, Any]]
-    ) -> None:
-        """Ship the compiled artifact to a shard the first time it serves it."""
-        attached = self._shard_queries.setdefault(shard, set())
-        if query_name in attached:
-            return
-        compiled = self.manager.registry.lookup(query_name)
-        if compiled is None:
-            # Unknown here is unknown there: the shard's registry lookup
-            # will produce the standard "Can't downgrade" refusal.
-            return
-        ops.append(
-            {
-                "op": "attach_query",
-                "name": query_name,
-                "artifact": compiled_query_to_json(compiled),
-            }
-        )
-        attached.add(query_name)
+    def _mirror_epoch(self) -> int:
+        """The mirror ledger's decay epoch (0 without a ledger)."""
+        return 0 if self.ledger is None else self.ledger.epoch
 
-    def _rehydrate_shard(self, shard: int) -> None:
-        """Queue the ops that rebuild a freshly restarted serving shard.
+    def _ship(
+        self, shard: int, groups: list[tuple[str, list[_PendingDowngrade]]]
+    ) -> list[dict[str, Any]]:
+        """Build one shard job's ops from the shard's view, and update it.
 
-        The replacement process knows nothing, and durable gateway state
-        is enough to rebuild everything it needs: the configure op is
-        re-queued (``_shard_configured`` reset), compiled artifacts
-        re-attach lazily from the cache/store on next use
-        (``_shard_queries`` reset — zero recompiles, the artifacts are
-        content-addressed), and every live session routed to the shard
-        is re-opened from the gateway's session records with a
-        mirror-bound snapshot.  Snapshots are refreshed again at ship
-        time, and a fresh shard has seen no users, so it adopts them all
-        — the rehydrated shard enforces bounds at least as tight as the
-        mirror's, never looser.
+        In a fixed order: ``configure`` when there is no view; one
+        ``advance_epoch`` for the mirror epochs since the view's; the
+        queued closes; an ``attach_query`` for each query of this job
+        the shard lacks; an ``open_session`` for each session of this
+        job the shard does not hold, with the mirror's bound now; then
+        the ``downgrade_batch`` ops.  Epochs come before opens, so a
+        fresh snapshot is never dilated twice.
         """
-        assert self.serving_pool is not None
-        self._shard_configured.discard(shard)
-        self._shard_queries.pop(shard, None)
-        self._shard_ops.pop(shard, None)
-        ops = self._ops_for(shard)
-        for session_id, session in self._shard_sessions.items():
-            user = self._users.get(session_id, session_id)
-            if self.serving_pool.shard_for(user) == shard:
-                ops.append(self._open_session_op(session_id, user, session.secret))
+        epoch = self._mirror_epoch()
+        view = self._shard_views.get(shard)
+        ops: list[dict[str, Any]] = []
+        if view is None:
+            view = self._shard_views[shard] = _ShardView(epoch)
+            ops.append(self._configure_op())
+        elif view.epoch != epoch:
+            ops.append({"op": "advance_epoch", "epochs": epoch - view.epoch})
+            view.epoch = epoch
+        ops.extend({"op": "close_session", "session_id": sid} for sid in view.closes)
+        view.closes = []
+        for name, _waiters in groups:
+            compiled = None if name in view.queries else self.manager.registry.lookup(name)
+            # Unknown here is unknown there: the shard's registry lookup
+            # produces the standard "Can't downgrade" refusal.
+            if compiled is not None:
+                artifact = compiled_query_to_json(compiled)
+                ops.append({"op": "attach_query", "name": name, "artifact": artifact})
+                view.queries.add(name)
+        for _name, waiters in groups:
+            for pending in waiters:
+                session = self._shard_sessions.get(pending.session_id)
+                if session is not None and session.session_id not in view.sessions:
+                    ops.append(self._open_session_op(session))
+                    view.sessions.add(session.session_id)
+        for query_name, waiters in groups:
+            op: dict[str, Any] = {
+                "op": "downgrade_batch",
+                "query_name": query_name,
+                "session_ids": [p.session_id for p in waiters],
+            }
+            traces = self._traces_for(waiters)
+            if traces is not None:
+                op["traces"] = traces
+            ops.append(op)
+        return ops
 
     def _adopt_degraded_sessions(self, shard: int) -> None:
         """Mirror a down shard's sessions into the gateway core's manager.
 
         Opened from the gateway's sealed session records; admission and
         commits then run against the durable mirror ledger — the same
-        enforcement state the shard would have been rehydrated from.
+        enforcement state the shard's next job ships from.
         Session-local *knowledge* restarts from the prior (the same
         semantics as a reconnect); the ledger bound does not reset.
         """
@@ -1006,12 +1009,12 @@ class DeclassificationServer:
     def advance_epoch(
         self, epochs: int = 1, *, idempotency_key: str | None = None
     ) -> int:
-        """Advance budget decay on the mirror ledger and every serving shard.
+        """Advance budget decay on the mirror ledger.
 
         The durable mirror advances (and persists) immediately — covering
-        users with stored bounds but no live session; shards apply the
-        queued epoch op before their next batch.  Returns the new epoch.
-        Requires ``budget_floor`` and ``budget_decay``.
+        users with stored bounds but no live session; each serving shard
+        catches up in its next job (:meth:`_ship`).  Returns the new
+        epoch.  Requires ``budget_floor`` and ``budget_decay``.
 
         On a journaled server a duplicate ``idempotency_key`` returns
         the recorded epoch without advancing again — retried epoch ticks
@@ -1028,13 +1031,7 @@ class DeclassificationServer:
         """The epoch executor."""
         if self.ledger is None:
             raise ValueError("advance_epoch requires a budget_floor")
-        epoch = self.ledger.advance_epoch(epochs)
-        if self.serving_pool is not None:
-            for shard in sorted(self._shard_configured):
-                self._ops_for(shard).append(
-                    {"op": "advance_epoch", "epochs": epochs}
-                )
-        return epoch
+        return self.ledger.advance_epoch(epochs)
 
     # -- downgrade path --------------------------------------------------------
     async def downgrade(
@@ -1202,12 +1199,14 @@ class DeclassificationServer:
             self.stats.journal_appends += len(items)
 
     def _journal_ack_downgrades(
-        self, acks: list[tuple[_PendingDowngrade, DowngradeResult]]
+        self,
+        groups: list[tuple[str, list[_PendingDowngrade]]],
+        by_key: dict[tuple[str, str], DowngradeResult],
     ) -> None:
         """Write a job's executed downgrades done: one transaction, with
-        the ledger-mirror bounds the job drained, *before* any waiter
-        resolves, so by the time a client sees a result its row is
-        written."""
+        the ledger-mirror bounds the job drained, in the step that
+        committed or folded them (so it holds no other job's bounds) and
+        before any waiter resolves."""
         if self.journal is None:
             return
         self._refuse_if_stopped()
@@ -1215,9 +1214,10 @@ class DeclassificationServer:
         self._journal_write(
             lambda: journal.ack_many(
                 [
-                    (pending.journal_entry, downgrade_result_to_json(result))
-                    for pending, result in acks
-                    if pending.journal_entry is not None
+                    (p.journal_entry, downgrade_result_to_json(by_key[(name, p.session_id)]))
+                    for name, group in groups
+                    for p in group
+                    if p.journal_entry is not None and (name, p.session_id) in by_key
                 ],
                 bounds=self._drained_bounds(),
             )
@@ -1319,13 +1319,14 @@ class DeclassificationServer:
         Gateway-core jobs run inline, one after another, so each ledger
         commit follows its own round's admission and a gateway-local
         tick never yields between its ``begin_many`` and its last write.
-        Shard jobs all start at once and run concurrently.  Per job, in
-        order: write its journal rows (after its ledger fold), count it,
-        record one ``batch`` audit event for each query group whose last
-        job this is, and resolve its waiters.  A job that raises fails
-        only its own waiters; later jobs are still served, unless the
-        failure stopped the journal (a journaled gateway-core job that
-        raises does).  Only an awaited shard job can be cancelled: the
+        Shard jobs all start at once and run concurrently.  Every job
+        writes its own journal rows in the step that commits or folds
+        its bounds; here, per job in order: count it, record one
+        ``batch`` audit event for each query group whose last job this
+        is, and resolve its waiters.  A job that raises fails only its
+        own waiters; later jobs are still served, unless the failure
+        stopped the journal (a journaled gateway-core job that raises
+        does).  Only an awaited shard job can be cancelled: the
         unfinished jobs are then cancelled together with their waiters.
         """
         tasks: list[asyncio.Future | None] = [
@@ -1349,20 +1350,10 @@ class DeclassificationServer:
         served = 0
         for index, (shard, groups) in enumerate(jobs):
             waiters = [pending for _name, group in groups for pending in group]
+            task = tasks[index]
             try:
-                task = tasks[index]
-                if task is None:
-                    self._refuse_if_stopped()
                 by_key = (
                     self._serve_on_gateway(groups) if task is None else await task
-                )
-                self._journal_ack_downgrades(
-                    [
-                        (pending, by_key[(query_name, pending.session_id)])
-                        for query_name, group in groups
-                        for pending in group
-                        if (query_name, pending.session_id) in by_key
-                    ]
                 )
             except asyncio.CancelledError:
                 for (_shard, later), task in zip(jobs[index:], tasks[index:]):
@@ -1376,10 +1367,7 @@ class DeclassificationServer:
                 raise
             except Exception as exc:
                 # Nothing of this job is durable: its clients' retries
-                # re-run it from the same prior.  A gateway-core job that
-                # raised left memory ahead of the journal.
-                if task is None:
-                    self._stop_journal(exc)
+                # re-run it from the same prior.
                 _fail(waiters, exc)
                 by_key = None
             else:
@@ -1410,31 +1398,39 @@ class DeclassificationServer:
     def _serve_on_gateway(
         self, groups: list[tuple[str, list[_PendingDowngrade]]]
     ) -> dict[tuple[str, str], DowngradeResult]:
-        """Serve query groups on the gateway core, one after another.
+        """Serve query groups on the gateway core, then write their rows.
 
         Gateway-local jobs and the degraded fallback both land here.
         Each batch runs on the event loop itself and nothing here
         awaits: a batch takes microseconds to milliseconds, less than a
         hop to a worker thread and back costs, and no other coroutine
-        can touch the core mid-job.  ``call_suppressed`` keeps the
-        core's kill points quiet: serving on the gateway is fault-free
-        by definition (DESIGN.md §10).
+        can touch the core between the job's commits and its journal
+        write.  ``call_suppressed`` keeps the core's kill points quiet:
+        serving on the gateway is fault-free by definition (DESIGN.md
+        §10).  A job that raises once it started left memory ahead of
+        the journal, and stops it.
         """
+        self._refuse_if_stopped()
         by_key: dict[tuple[str, str], DowngradeResult] = {}
-        for query_name, waiters in groups:
-            try:
-                results, _touched, refusals = faults.call_suppressed(
-                    self.core.serve_batch,
-                    query_name,
-                    [pending.session_id for pending in waiters],
-                    self._traces_for(waiters),
-                )
-            finally:
-                if self.core.spans:
-                    self.hub.tracer.absorb(self.core.drain_spans())
-            self.stats.budget_refusals += refusals
-            for result in results:
-                by_key[(query_name, result.session_id)] = result
+        try:
+            for query_name, waiters in groups:
+                try:
+                    results, _touched, refusals = faults.call_suppressed(
+                        self.core.serve_batch,
+                        query_name,
+                        [pending.session_id for pending in waiters],
+                        self._traces_for(waiters),
+                    )
+                finally:
+                    if self.core.spans:
+                        self.hub.tracer.absorb(self.core.drain_spans())
+                self.stats.budget_refusals += refusals
+                for result in results:
+                    by_key[(query_name, result.session_id)] = result
+            self._journal_ack_downgrades(groups, by_key)
+        except Exception as exc:
+            self._stop_journal(exc)
+            raise
         return by_key
 
     async def _serve_shard_groups(
@@ -1444,46 +1440,24 @@ class DeclassificationServer:
     ) -> dict[tuple[str, str], DowngradeResult]:
         """One shard's slice of a flush, supervised end to end.
 
-        The attempt builds the shard payload (pending session/epoch ops,
-        lazy ``attach_query``, then the ``downgrade_batch`` ops) *inside*
-        the supervised call, so a retry after restart+rehydration ships
-        the rebuilt op stream.  Open ops get their mirror-bound snapshot
-        refreshed at ship time — bounds committed on the degraded path
-        while the op sat queued must reach the shard.  Deltas fold into
-        the durable mirror (monotone: replays can tighten, never loosen)
-        *before* any waiter resolves.  Retry safety is the ledger's
-        idempotence: re-running a batch re-checks admission against the
-        same bounds and re-commits the same intersections.
-
-        On failure the supervisor kills and rehydrates the shard and
-        retries; when the breaker is open (or retries are exhausted) the
-        batch falls back to the gateway-local serving path.
+        Each attempt ships ops built from the shard's view (:meth:`_ship`).
+        After the supervisor returns, one step with no ``await`` folds the
+        shard's bound deltas into the durable mirror (monotone: replays
+        can tighten, never loosen) and writes the job's journal rows.
+        Retry safety is the ledger's idempotence: a re-run re-checks
+        admission against the same bounds and re-commits the same
+        intersections.  When the breaker is open (or retries are
+        exhausted) the batch falls back to the gateway core, which
+        commits and writes in a step of its own.  The view is forgotten
+        on a restart, a fallback, a failure, and after a job during
+        which the mirror epoch moved: the next job re-configures the
+        shard from the mirror.
         """
         assert self.serving_pool is not None
         pool = self.serving_pool
 
-        async def attempt() -> dict[tuple[str, str], DowngradeResult]:
-            ops = self._ops_for(shard)
-            self._shard_ops.pop(shard, None)
-            for op in ops:
-                if op["op"] == "open_session" and self.ledger is not None:
-                    session = self._shard_sessions.get(op["session_id"])
-                    if session is not None:
-                        spec = session.secret.spec
-                        op["bounds"] = {
-                            spec.name: self.ledger.export_bound(op["user_id"], spec)
-                        }
-            for query_name, shard_waiters in groups:
-                self._ensure_attached(shard, query_name, ops)
-                op: dict[str, Any] = {
-                    "op": "downgrade_batch",
-                    "query_name": query_name,
-                    "session_ids": [p.session_id for p in shard_waiters],
-                }
-                traces = self._traces_for(shard_waiters)
-                if traces is not None:
-                    op["traces"] = traces
-                ops.append(op)
+        async def attempt():
+            ops = self._ship(shard, groups)
             submit_start = time.perf_counter()
             response = ServingShardPool.decode(
                 await asyncio.wrap_future(pool.submit(shard, ops))
@@ -1507,36 +1481,47 @@ class DeclassificationServer:
                                 elapsed=elapsed,
                                 shard=shard,
                             )
-            if self.ledger is not None:
-                self.ledger.apply_payloads(response["deltas"], monotone=True)
-            self.stats.budget_refusals += response["budget_refusals"]
-            self._retire_degraded_sessions(shard)
-            return {
+            by_key = {
                 (result.query_name, result.session_id): result
                 for result in response["results"]
             }
+            return by_key, response
 
         async def restart() -> None:
             pool.restart_shard(shard)
             self.stats.shard_restarts += 1
-            self._rehydrate_shard(shard)
+            self._shard_views.pop(shard, None)
 
-        async def fallback() -> dict[tuple[str, str], DowngradeResult]:
+        async def fallback():
             # The down shard's sessions are adopted by the gateway core,
             # whose admission and commits run against the durable mirror
             # ledger: the floor holds exactly as it would on the shard.
             self.stats.degraded_batches += 1
             self._adopt_degraded_sessions(shard)
-            return self._serve_on_gateway(groups)
+            return self._serve_on_gateway(groups), None
 
-        return await self.supervisor.supervise(
-            "serving",
-            shard,
-            attempt,
-            deadline=self.config.serving_deadline,
-            restart=restart,
-            fallback=fallback,
-        )
+        try:
+            by_key, response = await self.supervisor.supervise(
+                "serving",
+                shard,
+                attempt,
+                deadline=self.config.serving_deadline,
+                restart=restart,
+                fallback=fallback,
+            )
+        except BaseException:
+            self._shard_views.pop(shard, None)
+            raise
+        # One step from here to the row write: nothing below awaits.
+        if response is None or self._shard_views[shard].epoch != self._mirror_epoch():
+            self._shard_views.pop(shard, None)
+        if response is not None:
+            if self.ledger is not None:
+                self.ledger.apply_payloads(response["deltas"], monotone=True)
+            self.stats.budget_refusals += response["budget_refusals"]
+            self._retire_degraded_sessions(shard)
+            self._journal_ack_downgrades(groups, by_key)
+        return by_key
 
     # -- observability ---------------------------------------------------------
     def _count_compile(self, outcome: str) -> None:
@@ -1871,8 +1856,8 @@ class DeclassificationServer:
         re-fold per answered (session, query) pair rebuilds exactly what
         the dead process held: the rebuilt gateway is a seamless
         continuation, and a journal recorded across crashes replays as
-        one history.  Shard-owned sessions are skipped; shard
-        rehydration rebuilds their knowledge.
+        one history.  Shard-owned sessions are skipped: their shard
+        opens them from the mirror's bounds when a job first needs them.
         """
         for payload in state.compiles.values():
             self._register(*await self._compile(_compile_request(payload)))

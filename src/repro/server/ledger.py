@@ -624,7 +624,7 @@ class PrivacyBudgetLedger:
         mode) an incoming bound is *intersected* with any existing one
         and an absent incoming bound keeps the existing one: replayed,
         reordered, or stale deltas — retries, duplicate deliveries, a
-        rehydrated shard echoing its snapshot — can tighten the mirror
+        reset shard echoing its snapshot — can tighten the mirror
         but can never loosen it.  (Loosening is the job of epoch decay,
         which acts on the mirror directly, never through payloads.)
 

@@ -23,8 +23,9 @@ into a *typed* failure and drives a bounded recovery loop around it:
 
 The supervisor is deliberately ignorant of pools, ledgers, and payload
 formats: callers pass ``attempt`` / ``restart`` / ``fallback``
-coroutines and keep ownership of state rebuilding (see
-``DeclassificationServer._rehydrate_shard``).
+coroutines and keep ownership of state rebuilding (a serving shard's
+restart makes the gateway forget what the shard held; see
+``DeclassificationServer._ship``).
 """
 
 from __future__ import annotations
@@ -420,7 +421,7 @@ class ShardSupervisor:
         """Run *attempt* under deadline/retry/breaker discipline.
 
         On each shard failure: record it, run *restart* (which owns
-        killing the executor and rehydrating state), back off, retry —
+        killing the executor and resetting state), back off, retry —
         up to ``retry.max_retries`` times.  When the breaker is (or
         goes) open, or retries are exhausted, *fallback* is awaited
         instead; with no fallback the classified failure is raised.

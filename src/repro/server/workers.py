@@ -252,10 +252,10 @@ class _ServingShard:
     def open_session(self, op: dict[str, Any]) -> None:
         """Open a session, restoring the user's persisted bounds if new.
 
-        ``bounds`` carries the gateway mirror's durable payloads; they
-        are applied only when this shard has not seen the user yet, so a
-        live shard's fresher in-process bounds are never clobbered by a
-        stale snapshot taken at ``open_session`` time.
+        ``bounds`` carries the gateway mirror's payloads; they are
+        applied only when this shard has not seen the user yet.  A user
+        it has seen already holds the mirror's bound: the gateway
+        re-configures a shard whose bounds may differ from the mirror's.
         """
         session_id, user_id = op["session_id"], op["user_id"]
         spec = spec_from_json(op["spec"])
@@ -329,8 +329,9 @@ def serve_payload(payload: str) -> str:
     for op in data["ops"]:
         kind = op["op"]
         if kind == "configure":
-            if shard_key not in _SERVING_STATE:
-                _SERVING_STATE[shard_key] = _ServingShard(op)
+            # Replaces whatever this process held: the gateway configures
+            # a shard whenever it can no longer vouch for its state.
+            _SERVING_STATE[shard_key] = _ServingShard(op)
             continue
         shard = _SERVING_STATE[shard_key]
         if kind == "attach_query":
@@ -439,32 +440,93 @@ def _kill_executor(executor: ProcessPoolExecutor | None) -> None:
     executor.shutdown(wait=False)
 
 
-class ShardedCompilePool:
-    """A fixed set of single-process shards, routed by canonical query hash.
+class _ProcessShards:
+    """A fixed set of single-worker process shards, forked lazily.
 
     Each shard is a one-worker :class:`ProcessPoolExecutor`: a shard is a
-    *unit of memo locality*, not a thread pool — widening a shard would
-    split its warm cache.  Scale by adding shards.
+    *unit of locality*, not a thread pool.  Subclasses route jobs and own
+    the payloads; this base owns the executors and their lifecycle.
+    """
+
+    def __init__(self, shards: int, *, inline: bool):
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        self.shards = shards
+        self.inline = inline
+        #: Optional chaos schedule, shipped inside every job payload.
+        self.fault_plan: faults.FaultPlan | None = None
+        self._executors: list[ProcessPoolExecutor | None] = [None] * shards
+        self._lock = threading.Lock()
+
+    def _executor(self, shard: int) -> ProcessPoolExecutor:
+        # Lazy: shards that never receive work never fork a process.
+        with self._lock:
+            executor = self._executors[shard]
+            if executor is None:
+                executor = ProcessPoolExecutor(
+                    max_workers=1, **faults.executor_options(self.fault_plan)
+                )
+                self._executors[shard] = executor
+            return executor
+
+    # -- supervision ---------------------------------------------------------
+    def restart_shard(self, shard: int) -> None:
+        """Replace a (possibly broken or hung) shard executor.
+
+        The old worker is killed, which settles its in-flight futures
+        with ``BrokenProcessPool``; the next submit lazily forks a fresh
+        process.  Inline pools have no process to replace.
+        """
+        with self._lock:
+            executor = self._executors[shard]
+            self._executors[shard] = None
+        _kill_executor(executor)
+
+    def ping(self, shard: int, *, timeout: float = 5.0) -> bool:
+        """Heartbeat a shard: False means its worker is dead or hung."""
+        if self.inline:
+            return True
+        try:
+            self._executor(shard).submit(ping_payload, "{}").result(timeout=timeout)
+            return True
+        except Exception:
+            return False
+
+    # -- lifecycle -----------------------------------------------------------
+    def shutdown(self, *, wait: bool = True) -> None:
+        """Tear down every shard process (idempotent)."""
+        with self._lock:
+            executors = [ex for ex in self._executors if ex is not None]
+            self._executors = [None] * self.shards
+        for executor in executors:
+            executor.shutdown(wait=wait)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.shutdown()
+
+
+class ShardedCompilePool(_ProcessShards):
+    """A fixed set of single-process shards, routed by canonical query hash.
+
+    A shard is a *unit of memo locality*: widening one would split its
+    warm cache.  Scale by adding shards.  Compile shards hold no
+    authoritative state, only warm memos, so a restart loses nothing.
     """
 
     def __init__(
         self, shards: int = 1, *, max_pending: int = 8, inline: bool = False
     ):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.shards = shards
+        super().__init__(shards, inline=inline)
         self.max_pending = max_pending
-        self.inline = inline
-        #: Optional chaos schedule, shipped inside every job payload.
-        self.fault_plan: faults.FaultPlan | None = None
         #: Settable metrics registry (``repro.obs``); the gateway swaps
         #: in its hub's registry to see admissions and sheds.
         self.metrics: Any = NULL_REGISTRY
-        self._executors: list[ProcessPoolExecutor | None] = [None] * shards
         self._stats = [ShardStats() for _ in range(shards)]
-        self._lock = threading.Lock()
 
     # -- routing -----------------------------------------------------------
     def shard_for(self, query: BoolExpr | str) -> int:
@@ -596,42 +658,6 @@ class ShardedCompilePool:
             self._stats[shard].pending -= 1
             self._stats[shard].failed += 1
 
-    def _executor(self, shard: int) -> ProcessPoolExecutor:
-        # Lazy: shards that never receive work never fork a process.
-        with self._lock:
-            executor = self._executors[shard]
-            if executor is None:
-                executor = ProcessPoolExecutor(
-                    max_workers=1, **faults.executor_options(self.fault_plan)
-                )
-                self._executors[shard] = executor
-            return executor
-
-    # -- supervision ---------------------------------------------------------
-    def restart_shard(self, shard: int) -> None:
-        """Replace a (possibly broken or hung) shard executor.
-
-        The old worker is killed, which settles its in-flight futures
-        with ``BrokenProcessPool`` and releases their admission slots;
-        the next submit lazily forks a fresh process.  Compile shards
-        hold no authoritative state — only warm memos — so there is
-        nothing to rehydrate.  Inline pools have no process to replace.
-        """
-        with self._lock:
-            executor = self._executors[shard]
-            self._executors[shard] = None
-        _kill_executor(executor)
-
-    def ping(self, shard: int, *, timeout: float = 5.0) -> bool:
-        """Heartbeat a shard: False means its worker is dead or hung."""
-        if self.inline:
-            return True
-        try:
-            self._executor(shard).submit(ping_payload, "{}").result(timeout=timeout)
-            return True
-        except Exception:
-            return False
-
     # -- introspection -------------------------------------------------------
     def stats(self) -> list[ShardStats]:
         """A snapshot of per-shard counters."""
@@ -648,50 +674,27 @@ class ShardedCompilePool:
         with self._lock:
             return sum(stats.shed for stats in self._stats)
 
-    # -- lifecycle -----------------------------------------------------------
-    def shutdown(self, *, wait: bool = True) -> None:
-        """Tear down every shard process (idempotent)."""
-        with self._lock:
-            executors = [ex for ex in self._executors if ex is not None]
-            self._executors = [None] * self.shards
-        for executor in executors:
-            executor.shutdown(wait=wait)
-
-    def __enter__(self) -> "ShardedCompilePool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
-
 
 #: Distinguishes inline pools sharing one process (see ``_SERVING_STATE``).
 _POOL_IDS = itertools.count()
 
 
-class ServingShardPool:
+class ServingShardPool(_ProcessShards):
     """A fixed set of single-process serving shards, routed by user id.
 
-    Each shard is a one-worker :class:`ProcessPoolExecutor` that owns the
-    sessions and ledger accounts of the users routed to it
-    (:func:`serve_shard_of`).  The gateway talks to a shard through
-    ordered JSON op batches (:func:`serve_payload`); because every shard
-    has exactly one worker process, ops submitted in order execute in
-    order — session opens always precede the downgrades that use them.
+    Each shard owns the sessions and ledger accounts of the users routed
+    to it (:func:`serve_shard_of`).  The gateway ships each job as one
+    JSON op list (:func:`serve_payload`) that it builds from what the
+    shard holds: session opens always precede the downgrades that use
+    them.
 
     ``inline=True`` executes the same payload codec path synchronously in
     the calling process (tests, single-core deployments).
     """
 
     def __init__(self, shards: int = 1, *, inline: bool = False):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.inline = inline
-        #: Optional chaos schedule, shipped inside every job payload.
-        self.fault_plan: faults.FaultPlan | None = None
+        super().__init__(shards, inline=inline)
         self._pool_id = next(_POOL_IDS)
-        self._executors: list[ProcessPoolExecutor | None] = [None] * shards
-        self._lock = threading.Lock()
 
     # -- routing -----------------------------------------------------------
     def shard_for(self, user_id: str) -> int:
@@ -766,50 +769,20 @@ class ServingShardPool:
                 f"undecodable serving response: {exc}", site="serve"
             ) from exc
 
-    def _executor(self, shard: int) -> ProcessPoolExecutor:
-        # Lazy: shards that never receive work never fork a process.
-        with self._lock:
-            executor = self._executors[shard]
-            if executor is None:
-                executor = ProcessPoolExecutor(
-                    max_workers=1, **faults.executor_options(self.fault_plan)
-                )
-                self._executors[shard] = executor
-            return executor
-
     # -- supervision ---------------------------------------------------------
     def restart_shard(self, shard: int) -> None:
-        """Kill a serving shard's state; the replacement starts empty.
+        """Kill a serving shard; the replacement starts empty.
 
-        In process mode the worker is killed (in-flight futures settle
-        with ``BrokenProcessPool``) and the next submit forks afresh; in
-        inline mode the shard's in-process state is dropped — the inline
-        analogue of process death.  Either way the replacement knows
-        *nothing*: the gateway must rehydrate it (configure, re-attach
-        queries, re-open sessions with mirror bounds) before serving.
-        A forced-empty replacement is what makes restart safe — a fresh
-        shard accepts every mirror bound snapshot, so degraded-mode
-        commits made while it was down can never be clobbered by stale
-        in-process state.
+        In inline mode the shard's in-process state is dropped too — the
+        inline analogue of process death.  Either way the gateway
+        forgets what the shard held, so its next job configures the
+        replacement and ships every session it serves with the mirror's
+        bound.
         """
-        with self._lock:
-            executor = self._executors[shard]
-            self._executors[shard] = None
+        super().restart_shard(shard)
         if self.inline:
             _SERVING_STATE.pop(f"{self._pool_id}/{shard}", None)
-        _kill_executor(executor)
 
-    def ping(self, shard: int, *, timeout: float = 5.0) -> bool:
-        """Heartbeat a shard: False means its worker is dead or hung."""
-        if self.inline:
-            return True
-        try:
-            self._executor(shard).submit(ping_payload, "{}").result(timeout=timeout)
-            return True
-        except Exception:
-            return False
-
-    # -- lifecycle -----------------------------------------------------------
     def shutdown(self, *, wait: bool = True) -> None:
         """Tear down every shard process (idempotent).
 
@@ -817,18 +790,8 @@ class ServingShardPool:
         must survive (ledger bounds, artifacts) already flowed back to
         the gateway as deltas and was written through to the store.
         """
-        with self._lock:
-            executors = [ex for ex in self._executors if ex is not None]
-            self._executors = [None] * self.shards
-        for executor in executors:
-            executor.shutdown(wait=wait)
+        super().shutdown(wait=wait)
         if self.inline:
             prefix = f"{self._pool_id}/"
             for key in [k for k in _SERVING_STATE if k.startswith(prefix)]:
                 del _SERVING_STATE[key]
-
-    def __enter__(self) -> "ServingShardPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
